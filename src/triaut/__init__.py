@@ -16,12 +16,10 @@ from .polynomials import (
     Polynomial,
     Scalar,
     as_scalar,
-    monomial_degree,
     monomials_up_to_degree,
     term_order_key,
 )
 from .automorphisms import (
-    DegreeClass,
     TriangularAutomorphism,
     commutator,
     compose,
@@ -53,7 +51,6 @@ from .lie import (
     nilpotency_class,
     vectorize,
 )
-from .words import GroupWord, concat, evaluate
 from .harness import (
     CounterexampleReport,
     DepthReport,

@@ -16,7 +16,6 @@ exactly how far they can grow is the point of the degree fuzz harness
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 from typing import Sequence
@@ -243,32 +242,12 @@ def compose_all(factors: Sequence[TriangularAutomorphism], n: int) -> Triangular
     return result
 
 
-@dataclass(frozen=True)
-class DegreeClass:
-    """The set of triangular automorphisms of dimension n with degree <= m."""
-
-    n: int
-    m: int
-
-    def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise ValueError("DegreeClass needs n >= 1 and m >= 1")
-
-    def contains(self, phi: TriangularAutomorphism) -> bool:
-        return phi.n == self.n and phi.degree() <= self.m
-
-    def product_degree_bound(self) -> int:
-        """Degree bound for arbitrary products of members and their inverses."""
-        return self.m ** (self.n - 1)
-
-
 def random_triangular(n: int, m: int, seed=None, coeff_bound: int = 2,
                       density: float = 0.4, rng: Random | None = None) -> TriangularAutomorphism:
-    """Random member of DegreeClass(n, m), deterministic for a fixed seed.
+    """Random triangular map of degree <= m, deterministic for a fixed seed.
 
-    Each candidate tail monomial of degree <= m is included independently
-    with probability `density`; included coefficients and all lambdas are
-    uniform nonzero integers in [-coeff_bound, coeff_bound].
+    The lambdas are drawn first, then the tails as in `_random_tails`; all
+    are uniform nonzero integers in [-coeff_bound, coeff_bound].
     """
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
@@ -276,14 +255,22 @@ def random_triangular(n: int, m: int, seed=None, coeff_bound: int = 2,
         rng = Random(seed)
     nonzero = [c for c in range(-coeff_bound, coeff_bound + 1) if c]
     lambdas = [rng.choice(nonzero) for _ in range(n)]
+    return TriangularAutomorphism(n, lambdas, _random_tails(n, m, rng, nonzero, density))
+
+
+def _random_tails(n: int, max_degree: int, rng: Random, nonzero: list[int],
+                  density: float) -> list[Polynomial]:
+    """Triangular tails h_1..h_n, drawn in order: each candidate monomial in
+    x_1..x_{i-1} of degree <= max_degree is kept with probability `density`,
+    with a coefficient drawn from `nonzero`."""
     tails = []
     for i in range(1, n + 1):
         terms: dict[Monomial, Scalar] = {}
-        for key in monomials_up_to_degree(i - 1, m):
+        for key in monomials_up_to_degree(i - 1, max_degree):
             if rng.random() < density:
                 terms[key + (0,) * (n - i + 1)] = rng.choice(nonzero)
         tails.append(Polynomial._raw(terms, n))
-    return TriangularAutomorphism(n, lambdas, tails)
+    return tails
 
 
 def staircase_map(n: int, m: int) -> TriangularAutomorphism:

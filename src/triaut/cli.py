@@ -12,10 +12,18 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import harness
-from .automorphisms import commutator, compose, elementary_factorization, invert, power
-from .derivations import bracket, exponential
+from .automorphisms import (
+    TriangularAutomorphism,
+    commutator,
+    compose,
+    elementary_factorization,
+    invert,
+    power,
+)
+from .derivations import TriangularDerivation, bracket, exponential
 from .errors import ParseError, PropertyViolation, TriangularityError
 from .lie import closure_report, lie_closure
 from .parsing import parse_automorphism, parse_derivation, parse_derivation_blocks
@@ -35,169 +43,161 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}")
 
 
+def _automorphism(path: str):
+    return parse_automorphism(_read(path))
+
+
+def _derivation(path: str):
+    return parse_derivation(_read(path))
+
+
+def _derivation_files(paths: list[str]) -> list:
+    return [d for path in paths for d in parse_derivation_blocks(_read(path))]
+
+
+def _factor(args) -> tuple[dict, str]:
+    texts = [f.to_text() for f in elementary_factorization(_automorphism(args.automorphism))]
+    return ({"factors": texts, "count": len(texts)},
+            "\n".join(texts) if texts else "(identity: empty factorization)\n")
+
+
+def _closure(args) -> tuple[dict, str]:
+    report = closure_report(lie_closure(_derivation_files(args.derivations), cap=args.cap))
+    return report, (f"dimension: {report['dimension']}\n"
+                    f"nilpotency class: {report['nilpotency_class']}\n"
+                    f"lower central series: {report['lower_central_series']}\n"
+                    f"derived series: {report['derived_series']}\n"
+                    + "\n".join(report["basis"]))
+
+
+class _Command(NamedTuple):
+    """One subcommand.  `positionals` are (name, argparse options) pairs;
+    the fields after `handler` declare the shared flags (a default for
+    trials/word_len, a switch for seed/cap).  `handler(args)` returns an
+    automorphism, a derivation, a harness report, or a ready
+    (json result, human text) pair.  Handlers call library functions by
+    module-global name at call time, so rebinding a module attribute
+    (as a tracer does) reaches every command.
+    """
+
+    help: str
+    positionals: tuple
+    handler: Callable
+    seed: bool = False
+    trials: int | None = None
+    word_len: int | None = None
+    cap: bool = False
+    epilog: str | None = None
+
+
+_INT = {"type": int}
+_RATIONAL = {"type": _rational}
+
+_COMMANDS = {
+    "compose": _Command(
+        "compose two automorphisms (first file outermost)",
+        (("outer", {}), ("inner", {})),
+        lambda a: compose(_automorphism(a.outer), _automorphism(a.inner))),
+    "invert": _Command(
+        "invert an automorphism", (("automorphism", {}),),
+        lambda a: invert(_automorphism(a.automorphism))),
+    "power": _Command(
+        "k-fold self-composition (negative k inverts)",
+        (("automorphism", {}), ("k", _INT)),
+        lambda a: power(_automorphism(a.automorphism), a.k)),
+    "commutator": _Command(
+        "phi psi phi^-1 psi^-1", (("phi", {}), ("psi", {})),
+        lambda a: commutator(_automorphism(a.phi), _automorphism(a.psi))),
+    "factor": _Command(
+        "elementary factorization of an automorphism", (("automorphism", {}),),
+        _factor),
+    "exp": _Command(
+        "exponential of a derivation at a rational parameter",
+        (("derivation", {}), ("s", _RATIONAL)),
+        lambda a: exponential(_derivation(a.derivation), a.s),
+        epilog="write flags first and '--' before a negative parameter: "
+               "triaut exp flow.der -- -1/2"),
+    "bracket": _Command(
+        "Lie bracket of two derivations", (("first", {}), ("second", {})),
+        lambda a: bracket(_derivation(a.first), _derivation(a.second))),
+    "closure": _Command(
+        "bracket closure of derivations, with both series",
+        (("derivations", {"nargs": "+",
+                          "help": "files of derivation blocks separated by blank lines"}),),
+        _closure, cap=True),
+    "fuzz-degree": _Command(
+        "random products of T(m) never leave T(m^(n-1))", (("n", _INT), ("m", _INT)),
+        lambda a: harness.degree_fuzz(a.n, a.m, a.word_len, a.trials, seed=a.seed),
+        seed=True, trials=1000, word_len=8),
+    "derived-depth": _Command(
+        "iterated commutators fix a growing prefix", (("n", _INT), ("depth", _INT)),
+        lambda a: harness.derived_depth_test(a.n, a.depth, a.trials, seed=a.seed),
+        seed=True, trials=50),
+    "unipotent-test": _Command(
+        "products of exponentials stay unitriangular", (("derivations", {"nargs": "+"}),),
+        lambda a: harness.unipotent_generation_test(
+            _derivation_files(a.derivations), a.word_len, a.trials, seed=a.seed),
+        seed=True, trials=200, word_len=6),
+    "counterexample": _Command(
+        "order-two pair whose generated group is not algebraic",
+        (("a", _RATIONAL), ("b", _RATIONAL)),
+        lambda a: harness.nonconnected_counterexample(a.a, a.b, a.word_len),
+        word_len=12,
+        epilog="write flags first and '--' before negative parameters: "
+               "triaut counterexample --word-len 8 -- -1/2 1/3"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="triaut",
         description="Exact arithmetic for triangular automorphisms, derivations, "
                     "and the groups and Lie algebras they generate.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, seed=False, trials=None, word_len=None, cap=False):
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, epilog=command.epilog)
+        for arg, options in command.positionals:
+            p.add_argument(arg, **options)
         p.add_argument("--json", action="store_true", help="emit a JSON report")
-        if seed:
+        if command.seed:
             p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-        if trials is not None:
-            p.add_argument("--trials", type=int, default=trials,
-                           help=f"number of sampled trials (default {trials})")
-        if word_len is not None:
-            p.add_argument("--word-len", type=int, default=word_len,
-                           help=f"maximum word length (default {word_len})")
-        if cap:
+        if command.trials is not None:
+            p.add_argument("--trials", type=int, default=command.trials,
+                           help=f"number of sampled trials (default {command.trials})")
+        if command.word_len is not None:
+            p.add_argument("--word-len", type=int, default=command.word_len,
+                           help=f"maximum word length (default {command.word_len})")
+        if command.cap:
             p.add_argument("--cap", type=int, default=50,
                            help="iteration ceiling (default 50)")
-
-    p = sub.add_parser("compose", help="compose two automorphisms (first file outermost)")
-    p.add_argument("outer"), p.add_argument("inner"), common(p)
-
-    p = sub.add_parser("invert", help="invert an automorphism")
-    p.add_argument("automorphism"), common(p)
-
-    p = sub.add_parser("power", help="k-fold self-composition (negative k inverts)")
-    p.add_argument("automorphism"), p.add_argument("k", type=int), common(p)
-
-    p = sub.add_parser("commutator", help="phi psi phi^-1 psi^-1")
-    p.add_argument("phi"), p.add_argument("psi"), common(p)
-
-    p = sub.add_parser("factor", help="elementary factorization of an automorphism")
-    p.add_argument("automorphism"), common(p)
-
-    p = sub.add_parser("exp", help="exponential of a derivation at a rational parameter",
-                       epilog="write flags first and '--' before a negative parameter: "
-                              "triaut exp flow.der -- -1/2")
-    p.add_argument("derivation"), p.add_argument("s", type=_rational), common(p)
-
-    p = sub.add_parser("bracket", help="Lie bracket of two derivations")
-    p.add_argument("first"), p.add_argument("second"), common(p)
-
-    p = sub.add_parser("closure", help="bracket closure of derivations, with both series")
-    p.add_argument("derivations", nargs="+",
-                   help="files of derivation blocks separated by blank lines")
-    common(p, cap=True)
-
-    p = sub.add_parser("fuzz-degree", help="random products of T(m) never leave T(m^(n-1))")
-    p.add_argument("n", type=int), p.add_argument("m", type=int)
-    common(p, seed=True, trials=1000, word_len=8)
-
-    p = sub.add_parser("derived-depth", help="iterated commutators fix a growing prefix")
-    p.add_argument("n", type=int), p.add_argument("depth", type=int)
-    common(p, seed=True, trials=50)
-
-    p = sub.add_parser("unipotent-test", help="products of exponentials stay unitriangular")
-    p.add_argument("derivations", nargs="+")
-    common(p, seed=True, trials=200, word_len=6)
-
-    p = sub.add_parser("counterexample",
-                       help="order-two pair whose generated group is not algebraic",
-                       epilog="write flags first and '--' before negative parameters: "
-                              "triaut counterexample --word-len 8 -- -1/2 1/3")
-    p.add_argument("a", type=_rational), p.add_argument("b", type=_rational)
-    common(p, word_len=12)
     return parser
 
 
-def _dispatch(args) -> tuple[list, object, str]:
-    """Returns (inputs, json result, human text) for the parsed command."""
-    cmd = args.command
-    if cmd == "compose":
-        outer = parse_automorphism(_read(args.outer))
-        inner = parse_automorphism(_read(args.inner))
-        result = compose(outer, inner)
-        return ([{"name": "outer", "value": args.outer},
-                 {"name": "inner", "value": args.inner}],
-                {"automorphism": result.to_text()}, result.to_text())
-    if cmd == "invert":
-        phi = parse_automorphism(_read(args.automorphism))
-        result = invert(phi)
-        return ([{"name": "automorphism", "value": args.automorphism}],
-                {"automorphism": result.to_text()}, result.to_text())
-    if cmd == "power":
-        phi = parse_automorphism(_read(args.automorphism))
-        result = power(phi, args.k)
-        return ([{"name": "automorphism", "value": args.automorphism},
-                 {"name": "k", "value": args.k}],
-                {"automorphism": result.to_text()}, result.to_text())
-    if cmd == "commutator":
-        phi = parse_automorphism(_read(args.phi))
-        psi = parse_automorphism(_read(args.psi))
-        result = commutator(phi, psi)
-        return ([{"name": "phi", "value": args.phi},
-                 {"name": "psi", "value": args.psi}],
-                {"automorphism": result.to_text()}, result.to_text())
-    if cmd == "factor":
-        phi = parse_automorphism(_read(args.automorphism))
-        factors = elementary_factorization(phi)
-        texts = [f.to_text() for f in factors]
-        return ([{"name": "automorphism", "value": args.automorphism}],
-                {"factors": texts, "count": len(texts)},
-                "\n".join(texts) if texts else "(identity: empty factorization)\n")
-    if cmd == "exp":
-        d = parse_derivation(_read(args.derivation))
-        result = exponential(d, args.s)
-        return ([{"name": "derivation", "value": args.derivation},
-                 {"name": "s", "value": str(args.s)}],
-                {"automorphism": result.to_text()}, result.to_text())
-    if cmd == "bracket":
-        d1 = parse_derivation(_read(args.first))
-        d2 = parse_derivation(_read(args.second))
-        result = bracket(d1, d2)
-        return ([{"name": "first", "value": args.first},
-                 {"name": "second", "value": args.second}],
-                {"derivation": result.to_text()}, result.to_text())
-    if cmd == "closure":
-        generators = []
-        for path in args.derivations:
-            generators.extend(parse_derivation_blocks(_read(path)))
-        basis = lie_closure(generators, cap=args.cap)
-        report = closure_report(basis)
-        human = (f"dimension: {report['dimension']}\n"
-                 f"nilpotency class: {report['nilpotency_class']}\n"
-                 f"lower central series: {report['lower_central_series']}\n"
-                 f"derived series: {report['derived_series']}\n"
-                 + "\n".join(report["basis"]))
-        return ([{"name": "derivations", "value": path} for path in args.derivations],
-                report, human)
-    if cmd == "fuzz-degree":
-        report = harness.degree_fuzz(args.n, args.m, args.word_len, args.trials,
-                                     seed=args.seed)
-        return ([{"name": "n", "value": args.n}, {"name": "m", "value": args.m},
-                 {"name": "word_len", "value": args.word_len},
-                 {"name": "trials", "value": args.trials},
-                 {"name": "seed", "value": args.seed}],
-                report.to_dict(), report.summary() + "\n")
-    if cmd == "derived-depth":
-        report = harness.derived_depth_test(args.n, args.depth, args.trials,
-                                            seed=args.seed)
-        return ([{"name": "n", "value": args.n}, {"name": "depth", "value": args.depth},
-                 {"name": "trials", "value": args.trials},
-                 {"name": "seed", "value": args.seed}],
-                report.to_dict(), report.summary() + "\n")
-    if cmd == "unipotent-test":
-        generators = []
-        for path in args.derivations:
-            generators.extend(parse_derivation_blocks(_read(path)))
-        report = harness.unipotent_generation_test(generators, args.word_len,
-                                                   args.trials, seed=args.seed)
-        return ([{"name": "derivations", "value": path} for path in args.derivations]
-                + [{"name": "word_len", "value": args.word_len},
-                   {"name": "trials", "value": args.trials},
-                   {"name": "seed", "value": args.seed}],
-                report.to_dict(), report.summary() + "\n")
-    if cmd == "counterexample":
-        report = harness.nonconnected_counterexample(args.a, args.b, args.word_len)
-        return ([{"name": "a", "value": str(args.a)}, {"name": "b", "value": str(args.b)},
-                 {"name": "word_len", "value": args.word_len}],
-                report.to_dict(), report.summary() + "\n")
-    raise ValueError(f"unknown command {cmd!r}")
+def _inputs(command: _Command, args) -> list[dict]:
+    """The echoed inputs: positionals in order (one entry per path of a
+    multi-file argument, rationals as text), then word_len, trials, seed."""
+    inputs = []
+    for name, _ in command.positionals:
+        value = getattr(args, name)
+        for v in value if isinstance(value, list) else [value]:
+            inputs.append({"name": name, "value": str(v) if isinstance(v, Fraction) else v})
+    for name in ("word_len", "trials", "seed"):
+        if getattr(command, name):
+            inputs.append({"name": name, "value": getattr(args, name)})
+    return inputs
+
+
+def _render(result) -> tuple[object, str]:
+    """(json result, human text) for whatever a handler returned."""
+    if isinstance(result, TriangularAutomorphism):
+        text = result.to_text()
+        return {"automorphism": text}, text
+    if isinstance(result, TriangularDerivation):
+        text = result.to_text()
+        return {"derivation": text}, text
+    if isinstance(result, tuple):
+        return result
+    return result.to_dict(), result.summary() + "\n"
 
 
 def _emit_json(command: str, inputs: list, result, diagnostics: list[str],
@@ -217,8 +217,9 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     except SystemExit as exc:
         return 0 if not exc.code else 2
     wants_json = getattr(args, "json", False)
+    command = _COMMANDS[args.command]
     try:
-        inputs, result, human = _dispatch(args)
+        result, human = _render(command.handler(args))
     except PropertyViolation as exc:
         if wants_json:
             _emit_json(args.command, [], None, [str(exc)], stdout)
@@ -230,7 +231,7 @@ def run(argv=None, stdout=None, stderr=None) -> int:
         print(f"error: {exc}", file=stderr)
         return 2
     if wants_json:
-        _emit_json(args.command, inputs, result, [], stdout)
+        _emit_json(args.command, _inputs(command, args), result, [], stdout)
     else:
         print(human, end="" if human.endswith("\n") else "\n", file=stdout)
     return 0

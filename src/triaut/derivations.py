@@ -14,9 +14,9 @@ from fractions import Fraction
 from random import Random
 from typing import Sequence
 
-from .automorphisms import TriangularAutomorphism
+from .automorphisms import TriangularAutomorphism, _random_tails
 from .errors import CapExceededError, TriangularityError
-from .polynomials import Monomial, Polynomial, Scalar, as_scalar, monomials_up_to_degree
+from .polynomials import Polynomial, as_scalar
 
 # Hard ceiling on power iterations; hit only on a bug, since triangular
 # derivations are locally nilpotent.
@@ -186,20 +186,12 @@ def random_triangular_derivation(n: int, max_degree: int, seed=None,
                                  rng: Random | None = None) -> TriangularDerivation:
     """Random triangular derivation with coefficient degrees <= max_degree.
 
-    Same sampling scheme as automorphisms.random_triangular: candidate
-    monomials kept with probability `density`, integer coefficients
-    uniform and nonzero in [-coeff_bound, coeff_bound].
+    The coefficients are sampled as the tails of
+    automorphisms.random_triangular, without the lambdas.
     """
     if n < 1 or max_degree < 0:
         raise ValueError("need n >= 1 and max_degree >= 0")
     if rng is None:
         rng = Random(seed)
     nonzero = [c for c in range(-coeff_bound, coeff_bound + 1) if c]
-    coeffs = []
-    for i in range(1, n + 1):
-        terms: dict[Monomial, Scalar] = {}
-        for key in monomials_up_to_degree(i - 1, max_degree):
-            if rng.random() < density:
-                terms[key + (0,) * (n - i + 1)] = rng.choice(nonzero)
-        coeffs.append(Polynomial._raw(terms, n))
-    return TriangularDerivation(n, coeffs)
+    return TriangularDerivation(n, _random_tails(n, max_degree, rng, nonzero, density))

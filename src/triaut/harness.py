@@ -20,6 +20,7 @@ from .automorphisms import (
     TriangularAutomorphism,
     commutator,
     compose,
+    compose_all,
     identity,
     invert,
     random_triangular,
@@ -77,10 +78,10 @@ def degree_fuzz(n: int, m: int, max_word_len: int, trials: int, seed: int,
     """Random products of degree-<=m maps and inverses never exceed m^(n-1).
 
     The generator pool is refreshed periodically and always includes the
-    staircase map, whose square is evaluated as trial 0; for (n=3, m=2)
-    that single deterministic word already attains the bound.  Any sampled
-    word whose evaluation exceeds the bound raises PropertyViolation with
-    the word and its generators attached.
+    staircase map, whose square (or the map itself when max_word_len is 1)
+    is evaluated as trial 0; for (n=3, m=2) that square already attains
+    the bound.  Any sampled word whose evaluation exceeds the bound raises
+    PropertyViolation with the word and its generators attached.
     """
     if n < 1 or m < 1 or max_word_len < 1 or trials < 1:
         raise ValueError("fuzz parameters must be positive")
@@ -93,6 +94,14 @@ def degree_fuzz(n: int, m: int, max_word_len: int, trials: int, seed: int,
     max_degree = 0
     best_word: tuple[str, ...] = ()
     best_table: dict[str, str] = {}
+
+    def letter(idx: int, e: int) -> TriangularAutomorphism:
+        if e == 1:
+            return pool[idx]
+        if inverses[idx] is None:
+            inverses[idx] = invert(pool[idx])
+        return inverses[idx]
+
     for trial in range(trials):
         if trial % _POOL_REFRESH == 0:
             pool = [ladder] + [
@@ -102,21 +111,12 @@ def degree_fuzz(n: int, m: int, max_word_len: int, trials: int, seed: int,
             inverses = [None] * len(pool)
             labels = ["s"] + [f"g{k}" for k in range(1, _POOL_SIZE + 1)]
         if trial == 0:
-            letters = [(0, 1), (0, 1)]
+            letters = [(0, 1)] * min(2, max_word_len)
         else:
             length = rng.randint(1, max_word_len)
             letters = [(rng.randrange(len(pool)), rng.choice((1, -1)))
                        for _ in range(length)]
-        result = identity(n)
-        for idx, e in reversed(letters):
-            if e == 1:
-                g = pool[idx]
-            else:
-                g = inverses[idx]
-                if g is None:
-                    g = invert(pool[idx])
-                    inverses[idx] = g
-            result = compose(g, result)
+        result = compose_all([letter(idx, e) for idx, e in letters], n)
         degree = result.degree()
         if degree > bound:
             word = _letter_names(letters, labels)
@@ -251,7 +251,7 @@ def unipotent_generation_test(derivations, max_word_len: int, trials: int,
     max_degree = 0
     for trial in range(trials):
         length = rng.randint(1, max_word_len)
-        result = identity(n)
+        factors = []
         for _ in range(length):
             idx = rng.randrange(len(derivations))
             s = rng.choice(_EXP_SCALARS)
@@ -260,7 +260,9 @@ def unipotent_generation_test(derivations, max_word_len: int, trials: int,
             if factor is None:
                 factor = exponential(derivations[idx], s)
                 exp_cache[key] = factor
-            result = compose(factor, result)
+            factors.append(factor)
+        # each draw acts after the ones before it: the last is outermost
+        result = compose_all(factors[::-1], n)
         if not result.is_unitriangular():
             raise PropertyViolation(
                 f"product of exponentials is not unitriangular:\n{result.to_text()}")

@@ -130,16 +130,15 @@ class _RowSpace:
 class LieBasis:
     """A bracket-closed, linearly independent set of triangular derivations.
 
-    `elements` are canonical representatives (one per reduced row of
-    `matrix`); `frame` names the columns.
+    `elements` are canonical representatives, one per reduced row of the
+    row space that `lie_closure` built; membership is tested against that
+    same row space.
     """
 
-    def __init__(self, n: int, elements: list[TriangularDerivation],
-                 frame: list[FrameKey], matrix: list[list[Scalar]]):
+    def __init__(self, n: int, space: _RowSpace):
         self.n = n
-        self.elements = elements
-        self.frame = frame
-        self.matrix = matrix
+        self.elements = space.derivations(n)
+        self._space = space
 
     @property
     def dimension(self) -> int:
@@ -147,16 +146,7 @@ class LieBasis:
 
     def contains(self, d: TriangularDerivation) -> bool:
         """True iff d lies in the rational span of the basis."""
-        space = self._rowspace()
-        return space.contains(d)
-
-    def _rowspace(self) -> _RowSpace:
-        space = _RowSpace()
-        space.frame = list(self.frame)
-        space.index = {key: pos for pos, key in enumerate(self.frame)}
-        space.rows = [list(row) for row in self.matrix]
-        space.pivots = [next(j for j, v in enumerate(row) if v) for row in self.matrix]
-        return space
+        return self._space.contains(d)
 
     def __repr__(self) -> str:
         return f"LieBasis(n={self.n}, dimension={self.dimension})"
@@ -207,8 +197,7 @@ def lie_closure(generators: Sequence[TriangularDerivation], cap: int = 50) -> Li
                     batch.append(c)
         old.extend(new)
         new = batch
-    return LieBasis(n, space.derivations(n), space.frame,
-                    [list(row) for row in space.rows])
+    return LieBasis(n, space)
 
 
 def _series(basis: LieBasis, left_full: bool) -> list[int]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import add as _add
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 Monomial = tuple[int, ...]
@@ -32,15 +32,16 @@ MINUS_INFINITY = float("-inf")
 
 
 def as_scalar(value) -> Scalar:
-    """Coerce to an exact rational; ints stay ints, floats are rejected."""
+    """Coerce to an exact rational; ints stay ints, floats and bools are rejected."""
     if type(value) is int:
         return value
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
+    if isinstance(value, (bool, float)):
+        raise TypeError(
+            f"coefficients must be exact rationals, not {type(value).__name__}")
     if isinstance(value, int):
         return int(value)
-    if isinstance(value, float):
-        raise TypeError("coefficients must be exact rationals, not float")
     frac = Fraction(value)
     return frac.numerator if frac.denominator == 1 else frac
 
@@ -48,11 +49,6 @@ def as_scalar(value) -> Scalar:
 def scalar_inverse(value: Scalar) -> Scalar:
     q = 1 / Fraction(value)
     return q.numerator if q.denominator == 1 else q
-
-
-def monomial_degree(exponents: Monomial) -> int:
-    """Total degree of a monomial: the sum of its exponents."""
-    return sum(exponents)
 
 
 def term_order_key(exponents: Monomial):
@@ -96,9 +92,10 @@ class Polynomial:
         width = 0
         if terms:
             for exps, coeff in terms.items():
-                key = _strip(tuple(exps))
-                if any(e < 0 or not isinstance(e, int) for e in key):
+                key = tuple(exps)
+                if any(type(e) is bool or not isinstance(e, int) or e < 0 for e in key):
                     raise ValueError(f"exponents must be non-negative integers: {exps}")
+                key = _strip(key)
                 coeff = as_scalar(coeff)
                 if coeff:
                     width = max(width, len(key))
@@ -393,10 +390,3 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self}, nvars={self.nvars})"
-
-
-def polynomial_sum(items: Iterable[Polynomial], nvars: int = 0) -> Polynomial:
-    total = Polynomial.zero(nvars)
-    for p in items:
-        total = total + p
-    return total

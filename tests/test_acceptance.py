@@ -32,7 +32,6 @@ from triaut.harness import (
 from triaut.lie import lie_closure, lower_central_series, nilpotency_class
 from triaut.parsing import parse_automorphism, parse_derivation, parse_polynomial
 from triaut.polynomials import Polynomial
-from triaut.words import GroupWord, evaluate
 
 from helpers import random_polynomial
 from test_lie import heisenberg, oracle_closure_dimension
@@ -65,8 +64,7 @@ def test_criterion_02_degree_bound_at_desk_scale():
         observed[(n, m)] = report.max_degree
     # the (3, 2) cell attains the bound via the square of the staircase word
     phi = staircase_map(3, 2)
-    tower_word = GroupWord([("f", 1), ("f", 1)], {"f": phi})
-    assert evaluate(tower_word).degree() == 4
+    assert compose_all([phi, phi], 3).degree() == 4
     assert observed[(3, 2)] == 4
     _pass(2, "12 cells x 1000 words of length <= 8 never left T(m^(n-1)); "
              f"(n=3, m=2) attained 4; max degrees {observed}")

@@ -212,3 +212,51 @@ def test_usage_error_is_exit_two():
 def test_help_exits_zero():
     code, _, _ = invoke(["--help"])
     assert code == 0
+
+
+def _json_header(argv):
+    code, out, _ = invoke(argv[:1] + ["--json"] + argv[1:])
+    assert code == 0
+    payload = json.loads(out)
+    return payload["command"], payload["inputs"]
+
+
+def test_json_command_and_inputs_are_pinned_for_every_subcommand(
+        tmp_path, phi_file, heis_file, flow_file):
+    ddx1 = tmp_path / "ddx1.der"
+    ddx1.write_text("n=2\ndx1 <- 1\ndx2 <- 0\n")
+    ddx1 = str(ddx1)
+
+    def named(*pairs):
+        return [{"name": name, "value": value} for name, value in pairs]
+
+    cases = [
+        (["compose", phi_file, phi_file],
+         named(("outer", phi_file), ("inner", phi_file))),
+        (["invert", phi_file], named(("automorphism", phi_file))),
+        (["power", phi_file, "3"], named(("automorphism", phi_file), ("k", 3))),
+        (["commutator", phi_file, phi_file],
+         named(("phi", phi_file), ("psi", phi_file))),
+        (["factor", phi_file], named(("automorphism", phi_file))),
+        (["exp", flow_file, "2/4"], named(("derivation", flow_file), ("s", "1/2"))),
+        (["bracket", ddx1, flow_file], named(("first", ddx1), ("second", flow_file))),
+        (["closure", "--cap", "7", heis_file, ddx1],
+         named(("derivations", heis_file), ("derivations", ddx1))),
+        (["fuzz-degree", "2", "3", "--trials", "4", "--word-len", "2", "--seed", "9"],
+         named(("n", 2), ("m", 3), ("word_len", 2), ("trials", 4), ("seed", 9))),
+        (["fuzz-degree", "1", "1"],
+         named(("n", 1), ("m", 1), ("word_len", 8), ("trials", 1000), ("seed", 0))),
+        (["derived-depth", "2", "1", "--trials", "3", "--seed", "5"],
+         named(("n", 2), ("depth", 1), ("trials", 3), ("seed", 5))),
+        (["unipotent-test", heis_file, flow_file, "--trials", "3", "--word-len", "2",
+          "--seed", "4"],
+         named(("derivations", heis_file), ("derivations", flow_file),
+               ("word_len", 2), ("trials", 3), ("seed", 4))),
+        (["counterexample", "--word-len", "4", "--", "-1/2", "6/2"],
+         named(("a", "-1/2"), ("b", "3"), ("word_len", 4))),
+    ]
+    seen = set()
+    for argv, inputs in cases:
+        assert _json_header(argv) == (argv[0], inputs)
+        seen.add(argv[0])
+    assert len(seen) == 12

@@ -6,6 +6,7 @@ import pytest
 from triaut.polynomials import (
     MINUS_INFINITY,
     Polynomial,
+    as_scalar,
     monomials_up_to_degree,
     term_order_key,
 )
@@ -104,6 +105,22 @@ def test_negative_exponents_rejected():
         Polynomial({(-1,): 1})
     with pytest.raises(ValueError):
         x1 ** -2
+
+
+def test_bool_scalars_rejected():
+    with pytest.raises(TypeError):
+        as_scalar(True)
+    with pytest.raises(TypeError):
+        Polynomial.constant(False)
+    with pytest.raises(TypeError):
+        x1 * True
+
+
+def test_bool_exponents_rejected():
+    with pytest.raises(ValueError):
+        Polynomial({(True,): 1})
+    with pytest.raises(ValueError):
+        Polynomial({(1, False): 1})
 
 
 def test_scalar_division():

@@ -8,6 +8,7 @@ import pytest
 from triaut.automorphisms import (
     commutator,
     compose,
+    compose_all,
     elementary_shear,
     identity,
     invert,
@@ -24,55 +25,39 @@ from triaut.harness import (
     unipotent_generation_test,
 )
 from triaut.polynomials import Polynomial
-from triaut.words import GroupWord, concat, evaluate
 
 
-# -- words ------------------------------------------------------------------
+# -- word evaluation -----------------------------------------------------------
 
 def test_empty_word_is_identity():
-    phi = staircase_map(3, 2)
-    assert evaluate(GroupWord([], {"f": phi})) == identity(3)
-    assert evaluate(GroupWord([], {}, n=2)) == identity(2)
+    assert compose_all([], 3) == identity(3)
+    assert compose_all([], 2) == identity(2)
 
 
 def test_cancelling_word_is_identity():
     phi = staircase_map(3, 2)
-    assert evaluate(GroupWord([("f", 1), ("f", -1)], {"f": phi})) == identity(3)
+    assert compose_all([phi, invert(phi)], 3) == identity(3)
 
 
 def test_word_square_reaches_degree_four():
     phi = staircase_map(3, 2)
-    sq = evaluate(GroupWord([("f", 1), ("f", 1)], {"f": phi}))
+    sq = compose_all([phi, phi], 3)
     assert sq == compose(phi, phi)
     assert sq.degree() == 4
-
-
-def test_word_validation():
-    phi = staircase_map(2, 2)
-    with pytest.raises(KeyError):
-        GroupWord([("g", 1)], {"f": phi})
-    with pytest.raises(ValueError):
-        GroupWord([("f", 2)], {"f": phi})
-    with pytest.raises(ValueError):
-        GroupWord([], {"f": phi, "g": staircase_map(3, 2)})
-    with pytest.raises(ValueError):
-        GroupWord([], {})
 
 
 def test_evaluate_is_a_monoid_homomorphism():
     rng = Random(500)
     for _ in range(25):
         n = rng.randint(1, 3)
-        table = {f"g{k}": random_triangular(n, 2, rng=rng) for k in range(3)}
-        labels = sorted(table)
+        gens = [random_triangular(n, 2, rng=rng) for _ in range(3)]
+        letters = gens + [invert(g) for g in gens]
 
         def random_word():
-            letters = [(rng.choice(labels), rng.choice((1, -1)))
-                       for _ in range(rng.randint(0, 4))]
-            return GroupWord(letters, table)
+            return [rng.choice(letters) for _ in range(rng.randint(0, 4))]
 
         u, v = random_word(), random_word()
-        assert evaluate(concat(u, v)) == compose(evaluate(u), evaluate(v))
+        assert compose_all(u + v, n) == compose(compose_all(u, n), compose_all(v, n))
 
 
 # -- degree fuzz --------------------------------------------------------------
@@ -95,6 +80,14 @@ def test_degree_fuzz_is_deterministic_per_seed():
     b = degree_fuzz(2, 2, max_word_len=6, trials=150, seed=42)
     assert a == b
     assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
+
+
+def test_degree_fuzz_trial_zero_respects_the_word_length():
+    report = degree_fuzz(2, 2, max_word_len=1, trials=3, seed=0)
+    assert report.witness_word == ("s",)
+    for seed in range(5):
+        report = degree_fuzz(3, 2, max_word_len=1, trials=20, seed=seed)
+        assert len(report.witness_word) <= 1
 
 
 def test_exhaustive_short_words_stay_in_degree_two():
