@@ -11,6 +11,7 @@ depth, unipotency, and the order-two counterexample on sampled data.
 
 from .errors import CapExceededError, ParseError, PropertyViolation, TriangularityError
 from .polynomials import (
+    EXPONENT_BITS,
     MINUS_INFINITY,
     Monomial,
     Polynomial,

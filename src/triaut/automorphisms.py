@@ -74,10 +74,8 @@ class TriangularAutomorphism:
         """The coordinate polynomial f_i = lambda_i x_i + h_i (1-based)."""
         if i < 1 or i > self.n:
             raise ValueError(f"coordinate index {i} out of range 1..{self.n}")
-        terms = dict(self.tails[i - 1].terms)
-        key = tuple(1 if j == i - 1 else 0 for j in range(self.n))
-        terms[key] = self.lambdas[i - 1]
-        return Polynomial._raw(terms, self.n)
+        unit = (0,) * (i - 1) + (1,)
+        return self.tails[i - 1] + Polynomial.monomial(self.lambdas[i - 1], unit, self.n)
 
     def coordinates(self) -> list[Polynomial]:
         return [self.coordinate(i) for i in range(1, self.n + 1)]
@@ -226,9 +224,9 @@ def elementary_factorization(phi: TriangularAutomorphism) -> list[TriangularAuto
     """
     factors = []
     for i in range(1, phi.n + 1):
-        tail = phi.tails[i - 1]
-        for key in sorted(tail.terms, key=term_order_key):
-            factors.append(elementary_shear(phi.n, i, tail.terms[key], key))
+        terms = phi.tails[i - 1].terms
+        for key in sorted(terms, key=term_order_key):
+            factors.append(elementary_shear(phi.n, i, terms[key], key))
         if phi.lambdas[i - 1] != 1:
             factors.append(elementary_scaling(phi.n, i, phi.lambdas[i - 1]))
     return factors
@@ -268,8 +266,8 @@ def _random_tails(n: int, max_degree: int, rng: Random, nonzero: list[int],
         terms: dict[Monomial, Scalar] = {}
         for key in monomials_up_to_degree(i - 1, max_degree):
             if rng.random() < density:
-                terms[key + (0,) * (n - i + 1)] = rng.choice(nonzero)
-        tails.append(Polynomial._raw(terms, n))
+                terms[key] = rng.choice(nonzero)
+        tails.append(Polynomial(terms, n))
     return tails
 
 
@@ -278,6 +276,5 @@ def staircase_map(n: int, m: int) -> TriangularAutomorphism:
     whose iterates exhibit degree growth."""
     tails = [Polynomial.zero(n)]
     for i in range(2, n + 1):
-        key = tuple(m if j == i - 2 else 0 for j in range(n))
-        tails.append(Polynomial._raw({key: 1}, n))
+        tails.append(Polynomial.monomial(1, (0,) * (i - 2) + (m,), n))
     return TriangularAutomorphism(n, (1,) * n, tails)

@@ -168,8 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--word-len", type=int, default=command.word_len,
                            help=f"maximum word length (default {command.word_len})")
         if command.cap:
-            p.add_argument("--cap", type=int, default=50,
-                           help="iteration ceiling (default 50)")
+            p.add_argument("--cap", type=int, default=None,
+                           help="round ceiling (default: the bound derived from the generators)")
     return parser
 
 

@@ -9,8 +9,8 @@ approximate.
 
 `lie_closure` saturates a generator set under the bracket.  For
 triangular generators the loop provably terminates (the generated Lie
-algebra is finite-dimensional and nilpotent); the round cap converts a
-violation of that guarantee into a diagnosable error instead of a hang.
+algebra is finite-dimensional and nilpotent) within a number of rounds
+derived from the generators, so hitting that cap is a property violation.
 """
 
 from __future__ import annotations
@@ -20,24 +20,25 @@ from typing import Sequence
 
 from .derivations import TriangularDerivation, bracket
 from .errors import CapExceededError, PropertyViolation
-from .polynomials import Polynomial, Scalar, as_scalar, _strip
+from .polynomials import Monomial, Polynomial, Scalar, as_scalar
 
-FrameKey = tuple[int, tuple[int, ...]]  # (coordinate index, stripped exponents)
+FrameKey = tuple[int, Monomial]  # (coordinate index, exponents)
 
 
 def _derivation_entries(d: TriangularDerivation):
     for i, g in enumerate(d.coeffs, start=1):
         for key, coeff in g.terms.items():
-            yield (i, _strip(key)), coeff
+            yield (i, key), coeff
 
 
 def vectorize(d: TriangularDerivation, frame: Sequence[FrameKey]) -> list[Scalar]:
-    """Coordinates of d in the given frame.
+    """Coordinates of d in the given frame, whose exponent tuples may omit
+    trailing zeros.
 
     Raises ValueError if some coefficient monomial of d lies outside the
     frame (the frame must be grown before the call).
     """
-    index = {key: pos for pos, key in enumerate(frame)}
+    index = {(i, key + (0,) * (d.n - len(key))): pos for pos, (i, key) in enumerate(frame)}
     vec: list[Scalar] = [0] * len(frame)
     for key, coeff in _derivation_entries(d):
         pos = index.get(key)
@@ -121,9 +122,8 @@ class _RowSpace:
             for pos, value in enumerate(row):
                 if value:
                     i, key = self.frame[pos]
-                    coeff_terms[i - 1][key + (0,) * (n - len(key))] = value
-            out.append(TriangularDerivation(
-                n, [Polynomial._raw(t, n) for t in coeff_terms]))
+                    coeff_terms[i - 1][key] = value
+            out.append(TriangularDerivation(n, [Polynomial(t, n) for t in coeff_terms]))
         return out
 
 
@@ -160,12 +160,31 @@ def _span(derivations: Sequence[TriangularDerivation]) -> _RowSpace:
     return space
 
 
-def lie_closure(generators: Sequence[TriangularDerivation], cap: int = 50) -> LieBasis:
+def _round_bound(generators: Sequence[TriangularDerivation], n: int) -> int:
+    """Most rounds `lie_closure` can take on these generators.
+
+    With weights w_1 = 1 and w_i = 1 + (the largest weighted degree of
+    the generators' d/dx_i coefficients), every generator lowers weighted
+    degree by at least 1, so a bracket of length L lowers it by at least
+    L; a nonzero derivation lowers it by at most max_i w_i.  Round r only
+    adds brackets of length >= r + 1, so there are at most max_i w_i rounds.
+    """
+    weights: list[int] = []
+    for i in range(n):
+        weights.append(1 + max((sum(e * w for e, w in zip(key, weights))
+                                for d in generators for key in d.coeffs[i].terms),
+                               default=0))
+    return max(weights)
+
+
+def lie_closure(generators: Sequence[TriangularDerivation], cap: int | None = None) -> LieBasis:
     """Smallest bracket-closed rational subspace containing the generators.
 
     Worklist saturation: each round brackets (new, old) and (new, new)
-    pairs and inserts the independent results.  Rounds are capped; for
-    valid triangular inputs the cap is unreachable.
+    pairs and inserts the independent results.  Rounds are capped by
+    `cap`, by default the bound derived from the generators' weighted
+    degrees (see `_round_bound`), which valid triangular input never
+    exceeds.
     """
     generators = list(generators)
     if not generators:
@@ -174,6 +193,8 @@ def lie_closure(generators: Sequence[TriangularDerivation], cap: int = 50) -> Li
     for d in generators:
         if d.n != n:
             raise ValueError(f"dimension mismatch: {d.n} vs {n}")
+    if cap is None:
+        cap = _round_bound(generators, n)
     space = _RowSpace()
     new = [d for d in generators if space.add(d)]
     old: list[TriangularDerivation] = []

@@ -205,8 +205,8 @@ def parse_automorphism(text: str) -> TriangularAutomorphism:
             raise ParseError(f"coordinate lines must appear in order; expected "
                              f"x{expected_index}, found x{index}", num, 1)
         f = parse_polynomial(match.group(2), line_offset=num - 1)
-        key = tuple(1 if j == index - 1 else 0 for j in range(max(f.nvars, index)))
-        lam = f.promoted(len(key)).coefficient(key)
+        key = (0,) * (index - 1) + (1,)
+        lam = f.coefficient(key)
         tail = f - Polynomial.monomial(lam, key) if lam else f
         lambdas.append(lam)
         tails.append(tail)

@@ -1,30 +1,58 @@
 """Exact sparse multivariate polynomials over the rationals.
 
-A polynomial is a dict mapping exponent tuples to nonzero rational
-coefficients, together with an ambient variable count `nvars`:
+A polynomial is an integer polynomial over one positive common
+denominator (the content-times-integer-polynomial layout of FLINT's
+`fmpq_mpoly`), stored as a dict from packed exponent keys to integer
+numerators, together with an ambient variable count `nvars`:
 
-    x2**2 + 2*x1**2*x2 + x1**4  (nvars=2)
-        ->  {(0, 2): 1, (2, 1): 2, (4, 0): 1}
+    x2**2/2 + 3*x1**2*x2  (nvars=2)
+        ->  numerators {pack(0, 2): 1, pack(2, 1): 6}, denominator 2
 
-Every key has length `nvars` (element i is the exponent of x_{i+1};
-variables are 1-based throughout the public API).  Coefficients are
-`int` where integral and `fractions.Fraction` otherwise; the two mix
-transparently under arithmetic, equality, and hashing, and the integer
-fast path is what keeps long composition chains affordable.
+Packed keys follow Monagan & Pearce, "Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors" (CASC 2007): the exponent of
+x_i (variables are 1-based throughout the public API) sits in bits
+[(i-1)*S, i*S) of the key, S = EXPONENT_BITS + 1, which holds the
+exponent in its low EXPONENT_BITS bits and keeps the top bit as a guard.
+Multiplying monomials is one int addition, and a key does not depend on
+`nvars`, so a polynomial viewed in a wider ambient is the same dict.
 
-Polynomials are immutable values: every operation returns a fresh
-instance and nothing here mutates its inputs.  Operations on operands
-with different `nvars` promote to the larger ambient by zero-padding.
+Exponents must stay below 2**EXPONENT_BITS.  Construction rejects a
+larger one with ValueError, and a product whose exponent would reach
+the limit sets a guard bit, which is checked once per product (one pass
+over the result's keys), and raises ValueError instead of carrying into
+the next variable.
+
+The form is normalised: the denominator is positive and shares no factor
+with all numerators together (it is 1 for integer polynomials, which
+then skip every gcd), so two polynomials are equal exactly when their
+numerators and denominators are, whatever their `nvars`.
+
+`terms` is a read-only view {exponent tuple of length nvars:
+coefficient}, built on demand, with coefficients `int` where integral
+and `fractions.Fraction` otherwise.  Polynomials are immutable values:
+every operation returns a fresh instance and nothing here mutates its
+inputs.  The result of an operation lives in the larger of its
+operands' ambients.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping as _Mapping
 from fractions import Fraction
-from operator import add as _add
+from functools import cache, reduce
+from math import gcd, lcm
+from operator import or_
 from typing import Iterator, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 Monomial = tuple[int, ...]
+
+# Exponents are < 2**EXPONENT_BITS; each variable's field has one more
+# bit, the guard that a product sets when an exponent overflows.
+EXPONENT_BITS = 16
+_SHIFT = EXPONENT_BITS + 1
+_LIMIT = 1 << EXPONENT_BITS
+_MASK = _LIMIT - 1
 
 # Degree of the zero polynomial: absorbed by max(), propagates through
 # bound comparisons, and can never be confused with an integer degree.
@@ -60,13 +88,6 @@ def term_order_key(exponents: Monomial):
     return (sum(exponents), tuple(-e for e in exponents))
 
 
-def _strip(exponents: Monomial) -> Monomial:
-    end = len(exponents)
-    while end and exponents[end - 1] == 0:
-        end -= 1
-    return exponents[:end]
-
-
 def monomials_up_to_degree(nvars: int, max_degree: int) -> Iterator[Monomial]:
     """Yield all exponent tuples of length nvars with total degree <= max_degree,
     in canonical term order."""
@@ -81,24 +102,144 @@ def monomials_up_to_degree(nvars: int, max_degree: int) -> Iterator[Monomial]:
     yield from sorted(rec(nvars, max_degree), key=term_order_key)
 
 
+def _pack(exponents: Sequence[int]) -> int:
+    key = 0
+    for i, e in enumerate(exponents):
+        if type(e) is bool or not isinstance(e, int) or e < 0:
+            raise ValueError(f"exponents must be non-negative integers: {tuple(exponents)}")
+        if e >= _LIMIT:
+            raise ValueError(f"exponent {e} of x{i + 1} is not below 2**{EXPONENT_BITS}")
+        key |= e << (_SHIFT * i)
+    return key
+
+
+def _width(key: int) -> int:
+    """Index of the last variable occurring in a packed key (0 for a constant)."""
+    return (key.bit_length() + _SHIFT - 1) // _SHIFT
+
+
+def _degree(key: int) -> int:
+    d = 0
+    while key:
+        d += key & _MASK
+        key >>= _SHIFT
+    return d
+
+
+@cache
+def _guards(nvars: int) -> int:
+    return sum(_LIMIT << (_SHIFT * i) for i in range(nvars))
+
+
+def _scalar(numerator: int, denominator: int) -> Scalar:
+    if denominator == 1:
+        return numerator
+    q = Fraction(numerator, denominator)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _make(num: dict[int, int], den: int, nvars: int) -> "Polynomial":
+    # num and den already normalised; num may be shared, as no polynomial
+    # mutates its dict.
+    p = object.__new__(Polynomial)
+    p._num = num
+    p._den = den
+    p.nvars = nvars
+    return p
+
+
+def _normalised(num: dict[int, int], den: int, nvars: int) -> "Polynomial":
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {k: c // g for k, c in num.items()}
+            den //= g
+    return _make(num, den, nvars)
+
+
+def _combine(a: "Polynomial", b: "Polynomial", sign: int) -> "Polynomial":
+    """a + sign*b.  The larger operand's terms keep their order and the
+    other's new keys follow in theirs; a term that cancels is dropped."""
+    ta, da, sa, tb, db, sb = a._num, a._den, 1, b._num, b._den, sign
+    if len(tb) > len(ta):
+        ta, da, sa, tb, db, sb = tb, db, sb, ta, da, sa
+    if da == db:
+        den = da
+    else:
+        den = lcm(da, db)
+        sa *= den // da
+        sb *= den // db
+    out = dict(ta) if sa == 1 else {k: c * sa for k, c in ta.items()}
+    get = out.get
+    for key, c in tb.items():
+        prev = get(key)
+        if prev is None:
+            out[key] = c * sb
+        else:
+            s = prev + c * sb
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    return _normalised(out, den, max(a.nvars, b.nvars))
+
+
+class _TermsView(_Mapping):
+    """Read-only {exponent tuple of length nvars: coefficient} view of a
+    polynomial; its length is free, its entries are unpacked on first use."""
+
+    __slots__ = ("_poly", "_dict")
+
+    def __init__(self, poly: "Polynomial"):
+        self._poly = poly
+        self._dict = None
+
+    def _entries(self) -> dict[Monomial, Scalar]:
+        if self._dict is None:
+            p = self._poly
+            shifts = range(0, _SHIFT * p.nvars, _SHIFT)
+            den = p._den
+            self._dict = {tuple([(k >> s) & _MASK for s in shifts]): _scalar(c, den)
+                          for k, c in p._num.items()}
+        return self._dict
+
+    def __len__(self) -> int:
+        return len(self._poly._num)
+
+    def __iter__(self):
+        return iter(self._entries())
+
+    def __getitem__(self, key: Monomial) -> Scalar:
+        return self._entries()[key]
+
+    def values(self):
+        if self._dict is None:
+            den = self._poly._den
+            return [_scalar(c, den) for c in self._poly._num.values()]
+        return self._dict.values()
+
+    def items(self):
+        return self._entries().items()
+
+    def __repr__(self) -> str:
+        return repr(self._entries())
+
+
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("terms", "nvars")
+    __slots__ = ("_num", "_den", "nvars")
 
     def __init__(self, terms: Mapping[Sequence[int], object] | None = None,
                  nvars: int | None = None):
-        cleaned: dict[Monomial, Scalar] = {}
+        cleaned: dict[int, Scalar] = {}
         width = 0
         if terms:
             for exps, coeff in terms.items():
-                key = tuple(exps)
-                if any(type(e) is bool or not isinstance(e, int) or e < 0 for e in key):
-                    raise ValueError(f"exponents must be non-negative integers: {exps}")
-                key = _strip(key)
+                key = _pack(exps)
                 coeff = as_scalar(coeff)
                 if coeff:
-                    width = max(width, len(key))
+                    width = max(width, _width(key))
                     prev = cleaned.get(key)
                     if prev is not None:
                         coeff = prev + coeff
@@ -110,29 +251,30 @@ class Polynomial:
             nvars = width
         elif nvars < width:
             raise ValueError(f"nvars={nvars} too small for a monomial in x{width}")
-        self.terms = {k + (0,) * (nvars - len(k)): c for k, c in cleaned.items()}
+        # Over the lcm of the reduced denominators the numerators are
+        # already coprime to it: no gcd pass needed.
+        den = lcm(*(c.denominator for c in cleaned.values() if type(c) is not int))
+        self._num = {k: c * den if type(c) is int else c.numerator * (den // c.denominator)
+                     for k, c in cleaned.items()}
+        self._den = den
         self.nvars = nvars
 
     @classmethod
-    def _raw(cls, terms: dict[Monomial, Scalar], nvars: int) -> "Polynomial":
-        # Internal fast path: terms already canonical, keys of length nvars.
-        p = object.__new__(cls)
-        p.terms = terms
-        p.nvars = nvars
-        return p
-
-    @classmethod
     def zero(cls, nvars: int = 0) -> "Polynomial":
-        return cls._raw({}, nvars)
+        return _make({}, 1, nvars)
 
     @classmethod
     def one(cls, nvars: int = 0) -> "Polynomial":
-        return cls._raw({(0,) * nvars: 1}, nvars)
+        return _make({0: 1}, 1, nvars)
 
     @classmethod
     def constant(cls, value, nvars: int = 0) -> "Polynomial":
         c = as_scalar(value)
-        return cls._raw({(0,) * nvars: c} if c else {}, nvars)
+        if not c:
+            return _make({}, 1, nvars)
+        if type(c) is int:
+            return _make({0: c}, 1, nvars)
+        return _make({0: c.numerator}, c.denominator, nvars)
 
     @classmethod
     def variable(cls, index: int, nvars: int | None = None) -> "Polynomial":
@@ -143,8 +285,7 @@ class Polynomial:
             nvars = index
         elif nvars < index:
             raise ValueError(f"nvars={nvars} too small for x{index}")
-        key = tuple(1 if i == index - 1 else 0 for i in range(nvars))
-        return cls._raw({key: 1}, nvars)
+        return _make({1 << (_SHIFT * (index - 1)): 1}, 1, nvars)
 
     @classmethod
     def monomial(cls, coeff, exponents: Sequence[int], nvars: int | None = None) -> "Polynomial":
@@ -152,137 +293,114 @@ class Polynomial:
 
     # -- structure -----------------------------------------------------
 
+    @property
+    def terms(self) -> Mapping[Monomial, Scalar]:
+        """Read-only {exponent tuple of length nvars: coefficient} view."""
+        return _TermsView(self)
+
     def promoted(self, nvars: int) -> "Polynomial":
         """The same polynomial viewed in an ambient with nvars variables."""
         if nvars == self.nvars:
             return self
-        if nvars < self.nvars:
-            if self.max_variable() > nvars:
-                raise ValueError(f"cannot shrink ambient below x{self.max_variable()}")
-            return Polynomial._raw(
-                {_strip(k) + (0,) * (nvars - len(_strip(k))): c for k, c in self.terms.items()},
-                nvars)
-        pad = (0,) * (nvars - self.nvars)
-        return Polynomial._raw({k + pad: c for k, c in self.terms.items()}, nvars)
+        if nvars < self.nvars and self.max_variable() > nvars:
+            raise ValueError(f"cannot shrink ambient below x{self.max_variable()}")
+        return _make(self._num, self._den, nvars)
 
     def total_degree(self):
         """Max term degree; MINUS_INFINITY for the zero polynomial."""
-        if not self.terms:
+        if not self._num:
             return MINUS_INFINITY
-        return max(map(sum, self.terms))
+        return max(map(_degree, self._num))
 
     def max_variable(self) -> int:
         """Largest index i with x_i occurring, or 0 for constants."""
-        best = 0
-        for key in self.terms:
-            for i in range(len(key) - 1, best - 1, -1):
-                if key[i]:
-                    best = i + 1
-                    break
-        return best
+        return _width(max(self._num)) if self._num else 0
 
     def coefficient(self, exponents: Sequence[int]) -> Scalar:
         """Coefficient of the given monomial (0 if absent)."""
-        key = _strip(tuple(exponents))
-        return self.terms.get(key + (0,) * (self.nvars - len(key)), 0)
+        return _scalar(self._num.get(_pack(exponents), 0), self._den)
 
     def constant_term(self) -> Scalar:
-        return self.terms.get((0,) * self.nvars, 0)
+        return _scalar(self._num.get(0, 0), self._den)
 
     def is_constant(self) -> bool:
-        return all(not any(k) for k in self.terms)
+        return not self._num or (len(self._num) == 1 and 0 in self._num)
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._num)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(other, self.nvars)
+            other = Polynomial.constant(other)
         elif not isinstance(other, Polynomial):
             return NotImplemented
-        if self.nvars == other.nvars:
-            return self.terms == other.terms
-        n = max(self.nvars, other.nvars)
-        return self.promoted(n).terms == other.promoted(n).terms
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash(frozenset((_strip(k), Fraction(c)) for k, c in self.terms.items()))
+        return hash((self._den, frozenset(self._num.items())))
 
     # -- arithmetic ----------------------------------------------------
-
-    def _aligned(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        if self.nvars == other.nvars:
-            return self, other
-        n = max(self.nvars, other.nvars)
-        return self.promoted(n), other.promoted(n)
 
     def __add__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(other, self.nvars)
         elif not isinstance(other, Polynomial):
             return NotImplemented
-        a, b = self._aligned(other)
-        if len(b.terms) > len(a.terms):
-            a, b = b, a
-        out = dict(a.terms)
-        for key, c in b.terms.items():
-            prev = out.get(key)
-            if prev is None:
-                out[key] = c
-            else:
-                s = prev + c
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        return Polynomial._raw(out, a.nvars)
+        return _combine(self, other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._raw({k: -c for k, c in self.terms.items()}, self.nvars)
+        return _make({k: -c for k, c in self._num.items()}, self._den, self.nvars)
 
     def __sub__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(other, self.nvars)
         elif not isinstance(other, Polynomial):
             return NotImplemented
-        return self + (-other)
+        return _combine(self, other, -1)
 
     def __rsub__(self, other) -> "Polynomial":
         return (-self) + other
 
     def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            c = as_scalar(other)
-            if not c:
-                return Polynomial.zero(self.nvars)
-            return Polynomial._raw({k: c * v for k, v in self.terms.items()}, self.nvars)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        a, b = self._aligned(other)
-        if not a.terms or not b.terms:
-            return Polynomial.zero(a.nvars)
-        if len(a.terms) < len(b.terms):
-            a, b = b, a
-        out: dict[Monomial, Scalar] = {}
-        get = out.get
-        b_items = list(b.terms.items())
-        for ka, ca in a.terms.items():
-            for kb, cb in b_items:
-                key = tuple(map(_add, ka, kb))
-                prev = get(key)
-                if prev is None:
-                    out[key] = ca * cb
-                else:
-                    s = prev + ca * cb
-                    if s:
-                        out[key] = s
+        if isinstance(other, Polynomial):
+            nvars = max(self.nvars, other.nvars)
+            ta, tb = self._num, other._num
+            if not ta or not tb:
+                return _make({}, 1, nvars)
+            if len(ta) < len(tb):
+                ta, tb = tb, ta
+            out: dict[int, int] = {}
+            get = out.get
+            b_items = list(tb.items())
+            for ka, ca in ta.items():
+                for kb, cb in b_items:
+                    key = ka + kb
+                    prev = get(key)
+                    if prev is None:
+                        out[key] = ca * cb
                     else:
-                        del out[key]
-        return Polynomial._raw(out, a.nvars)
+                        s = prev + ca * cb
+                        if s:
+                            out[key] = s
+                        else:
+                            del out[key]
+            if reduce(or_, out, 0) & _guards(nvars):
+                raise ValueError(
+                    f"product has an exponent not below 2**{EXPONENT_BITS}")
+            return _normalised(out, self._den * other._den, nvars)
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(as_scalar(other))
+        return NotImplemented
 
     __rmul__ = __mul__
+
+    def _scaled(self, c: Scalar) -> "Polynomial":
+        if not c:
+            return _make({}, 1, self.nvars)
+        p, q = (c, 1) if type(c) is int else (c.numerator, c.denominator)
+        return _normalised({k: v * p for k, v in self._num.items()}, self._den * q, self.nvars)
 
     def __truediv__(self, divisor) -> "Polynomial":
         """Scalar division only."""
@@ -312,15 +430,14 @@ class Polynomial:
         """Formal partial derivative with respect to x_index (1-based)."""
         if index < 1 or index > self.nvars:
             raise ValueError(f"variable index {index} out of range 1..{self.nvars}")
-        i = index - 1
-        out: dict[Monomial, Scalar] = {}
-        for key, c in self.terms.items():
-            e = key[i]
+        shift = _SHIFT * (index - 1)
+        unit = 1 << shift
+        out: dict[int, int] = {}
+        for key, c in self._num.items():
+            e = (key >> shift) & _MASK
             if e:
-                dkey = key[:i] + (e - 1,) + key[i + 1:]
-                prev = out.get(dkey)
-                out[dkey] = e * c if prev is None else prev + e * c
-        return Polynomial._raw(out, self.nvars)
+                out[key - unit] = e * c
+        return _normalised(out, self._den, self.nvars)
 
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """Replace x_i by images[i-1] and expand to canonical form.
@@ -332,32 +449,34 @@ class Polynomial:
                 f"substitute needs {self.nvars} images, got {len(images)}")
         images = [im if isinstance(im, Polynomial) else Polynomial.constant(im)
                   for im in images]
-        width = max((im.nvars for im in images), default=0)
-        images = [im.promoted(width) for im in images]
         return self._substitute(images, {})
 
     def _substitute(self, images: list["Polynomial"], pow_cache: dict) -> "Polynomial":
-        # images pre-promoted to a common ambient; pow_cache maps
-        # (image position, exponent) -> Polynomial and may be shared
-        # across calls substituting the same tuple.
-        width = images[0].nvars if images else 0
+        # pow_cache maps (image position, exponent) -> Polynomial and may
+        # be shared across calls substituting the same tuple.
+        width = max((im.nvars for im in images), default=0)
+        den = self._den
         total = Polynomial.zero(width)
-        for key, c in self.terms.items():
+        for key, c in self._num.items():
             term = None
-            for i, e in enumerate(key):
-                if not e:
-                    continue
-                power = pow_cache.get((i, e))
-                if power is None:
-                    power = images[i]
-                    for k in range(2, e + 1):
-                        nxt = pow_cache.get((i, k))
-                        if nxt is None:
-                            nxt = power * images[i]
-                            pow_cache[(i, k)] = nxt
-                        power = nxt
-                    pow_cache[(i, e)] = power
-                term = power if term is None else term * power
+            i = 0
+            while key:
+                e = key & _MASK
+                if e:
+                    power = pow_cache.get((i, e))
+                    if power is None:
+                        power = images[i]
+                        for k in range(2, e + 1):
+                            nxt = pow_cache.get((i, k))
+                            if nxt is None:
+                                nxt = power * images[i]
+                                pow_cache[(i, k)] = nxt
+                            power = nxt
+                        pow_cache[(i, e)] = power
+                    term = power if term is None else term * power
+                key >>= _SHIFT
+                i += 1
+            c = _scalar(c, den)
             if term is None:
                 total = total + Polynomial.constant(c, width)
             else:
@@ -367,11 +486,12 @@ class Polynomial:
     # -- canonical text -------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._num:
             return "0"
+        terms = self.terms
         pieces = []
-        for key in sorted(self.terms, key=term_order_key):
-            coeff = self.terms[key]
+        for key in sorted(terms, key=term_order_key):
+            coeff = terms[key]
             vars_part = "*".join(
                 f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
                 for i, e in enumerate(key) if e)

@@ -34,3 +34,22 @@ def nonzero_polynomial(rng: Random, nvars: int, max_degree: int, **kw) -> Polyno
         p = random_polynomial(rng, nvars, max_degree, **kw)
         if p:
             return p
+
+
+def wide_rational_polynomial(rng: Random, nvars: int, max_degree: int,
+                             density: float = 0.4) -> Polynomial:
+    """Random polynomial whose coefficients are fractions with numerators
+    and denominators up to 2^40."""
+    terms = {}
+    for key in monomials_up_to_degree(nvars, max_degree):
+        if rng.random() < density:
+            terms[key] = Fraction(rng.randint(-2 ** 40, 2 ** 40), rng.randint(1, 2 ** 40))
+    return Polynomial(terms, nvars)
+
+
+def to_sympy(sympy, p: Polynomial, gens):
+    """p as a sympy expression in gens (one generator per variable, at
+    least p.nvars of them)."""
+    return sympy.Add(*(sympy.Rational(Fraction(c).numerator, Fraction(c).denominator)
+                       * sympy.Mul(*(g ** e for g, e in zip(gens, key)))
+                       for key, c in p.terms.items()))

@@ -20,6 +20,8 @@ from triaut.errors import TriangularityError
 from triaut.harness import degree_fuzz
 from triaut.polynomials import Polynomial
 
+from helpers import to_sympy, wide_rational_polynomial
+
 x1 = Polynomial.variable(1, 3)
 x2 = Polynomial.variable(2, 3)
 x3 = Polynomial.variable(3, 3)
@@ -288,3 +290,30 @@ def test_text_round_trip_through_coordinates():
     phi = shear_tower()
     text = phi.to_text()
     assert text == "n=3\nx1 -> x1\nx2 -> x2 + x1^2\nx3 -> x3 + x2^2\n"
+
+
+# -- differential tests against sympy -------------------------------------------
+
+def _fraction_map(rng: Random):
+    """A (3, 2) map with lambdas +-2 and tails with wide fraction coefficients."""
+    tails = [wide_rational_polynomial(rng, i, 2) for i in range(3)]
+    return make(3, [rng.choice((2, -2)) for _ in range(3)], tails)
+
+
+def _sympy_coordinates(sympy, phi, gens):
+    return [to_sympy(sympy, f, gens) for f in phi.coordinates()]
+
+
+def test_compose_and_invert_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols("x1:4")
+    rng = Random(210)
+    for _ in range(8):
+        outer, inner = _fraction_map(rng), _fraction_map(rng)
+        inner_coords = dict(zip(gens, _sympy_coordinates(sympy, inner, gens)))
+        for ours, f in zip(_sympy_coordinates(sympy, compose(outer, inner), gens),
+                           _sympy_coordinates(sympy, outer, gens)):
+            assert sympy.expand(ours - f.subs(inner_coords, simultaneous=True)) == 0
+        inverse = dict(zip(gens, _sympy_coordinates(sympy, invert(outer), gens)))
+        for g, f in zip(gens, _sympy_coordinates(sympy, outer, gens)):
+            assert sympy.expand(f.subs(inverse, simultaneous=True)) == g

@@ -191,6 +191,17 @@ def test_property_violation_is_exit_one(heis_file):
     assert "property violation" in err
 
 
+def test_closure_runs_past_fifty_rounds_on_valid_input(tmp_path):
+    # {d/dx1, x1^60 d/dx2} closes after 61 rounds, in dimension 62
+    gens = tmp_path / "deep.der"
+    gens.write_text("n=2\ndx1 <- 1\ndx2 <- 0\n\nn=2\ndx1 <- 0\ndx2 <- x1^60\n")
+    code, out, _ = invoke(["closure", str(gens), "--json"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["dimension"] == 62
+    assert result["nilpotency_class"] == 61
+
+
 def test_json_error_payload_keeps_schema(tmp_path):
     bad = tmp_path / "bad.aut"
     bad.write_text("garbage")

@@ -182,6 +182,17 @@ def test_cap_is_enforced():
         lie_closure(gens, cap=0)
 
 
+def test_default_cap_is_derived_from_the_generators():
+    # w_2 = 1 + 60: the closure {d/dx1, x1^k d/dx2 : k <= 60} needs exactly
+    # 61 rounds, more than any guessed constant below it
+    gens = [make_derivation(2, [1, 0]), make_derivation(2, [0, x1 ** 60])]
+    basis = lie_closure(gens)
+    assert basis.dimension == 62
+    assert all(basis.contains(make_derivation(2, [0, x1 ** k])) for k in range(61))
+    with pytest.raises(CapExceededError):
+        lie_closure(gens, cap=60)
+
+
 def test_closure_requires_generators_and_common_dimension():
     with pytest.raises(ValueError):
         lie_closure([])

@@ -3,7 +3,9 @@ from random import Random
 
 import pytest
 
+from triaut.automorphisms import compose_all, invert, random_triangular
 from triaut.polynomials import (
+    EXPONENT_BITS,
     MINUS_INFINITY,
     Polynomial,
     as_scalar,
@@ -11,7 +13,8 @@ from triaut.polynomials import (
     term_order_key,
 )
 
-from helpers import nonzero_polynomial, random_polynomial
+from helpers import (nonzero_polynomial, random_polynomial, to_sympy,
+                     wide_rational_polynomial)
 
 x1 = Polynomial.variable(1)
 x2 = Polynomial.variable(2)
@@ -215,3 +218,138 @@ def test_partial_satisfies_leibniz():
         p = random_polynomial(rng, nvars, 3)
         q = random_polynomial(rng, nvars, 3)
         assert (p * q).partial(i) == p * q.partial(i) + q * p.partial(i)
+
+
+# -- packed exponents ------------------------------------------------------------
+
+def test_largest_exponent_is_accepted():
+    top = Polynomial({(2 ** EXPONENT_BITS - 1,): 1})
+    assert top.total_degree() == 2 ** EXPONENT_BITS - 1
+    assert (top * x2).terms == {(2 ** EXPONENT_BITS - 1, 1): 1}
+
+
+def test_exponent_overflow_raises_instead_of_spilling():
+    top = 2 ** EXPONENT_BITS - 1
+    with pytest.raises(ValueError):
+        Polynomial({(top + 1,): 1})
+    with pytest.raises(ValueError):
+        Polynomial({(0, 0, top + 1): 1})
+    with pytest.raises(ValueError):
+        Polynomial({(top,): 1}) * x1
+    with pytest.raises(ValueError):
+        (x1 + Polynomial({(0, top): 3})) * (x2 ** 2 - 1)
+    with pytest.raises(ValueError):
+        x1 ** (2 ** EXPONENT_BITS)
+
+
+# -- the terms view --------------------------------------------------------------
+
+def test_terms_view_keys_values_and_read_only():
+    p = Fraction(3, 2) * x1 ** 2 - Fraction(1, 2) * x1 * x2 + 2 * x3
+    terms = p.terms
+    assert len(terms) == 3
+    assert all(len(key) == p.nvars == 3 for key in terms)
+    assert terms == {(2, 0, 0): Fraction(3, 2), (1, 1, 0): Fraction(-1, 2), (0, 0, 1): 2}
+    assert type(terms[(0, 0, 1)]) is int
+    with pytest.raises(TypeError):
+        terms[(0, 0, 1)] = 5
+    copy = dict(terms)
+    copy[(0, 0, 1)] = 5
+    assert p.terms[(0, 0, 1)] == 2
+    assert list(x1.promoted(4).terms) == [(1, 0, 0, 0)]
+
+
+def test_terms_view_values_are_int_wherever_integral():
+    rng = Random(106)
+    for _ in range(40):
+        p = random_polynomial(rng, 3, 3) * Fraction(rng.randint(1, 6), rng.randint(1, 6))
+        assert all(type(c) is int or c.denominator > 1 for c in p.terms.values())
+        assert all(len(key) == 3 for key in p.terms)
+
+
+# A word over (4, 3) maps whose tails have only non-integral coefficients.
+# The expected texts were printed by the tuple-keyed Fraction representation
+# that the packed integer one replaced.
+FRACTION_WORD_TEXT = (
+    "n=4\nx1 -> x1\nx2 -> -1/2*x2 + 1/2*x1^3\n"
+    "x3 -> -1/2*x2 + x3 + 1/2*x1*x2 - 3/2*x1^3 - x1^2*x2 - 1/2*x1^4 + x1^5\n"
+    "x4 -> -1 + 1/2*x2 + x3 - x4 - x1*x2 + 1/2*x1*x3 - 1/2*x1^3 - 1/2*x1^2*x2"
+    " - 1/2*x1*x2^2 + 3/2*x1*x2*x3 - x1*x3^2 + 9/8*x2^3 - 1/2*x2^2*x3"
+    " + 3/4*x1^2*x2^2 - x1^2*x2*x3 + 1/2*x1^5 - 2*x1^4*x2 + 5/2*x1^4*x3"
+    " - 17/8*x1^3*x2^2 + 2*x1^3*x2*x3 + 1/2*x1^5*x2 + x1^5*x3 + x1^4*x2^2"
+    " - 3/2*x1^7 - 1/8*x1^6*x2 - 2*x1^6*x3 - x1^5*x2^2 - 5/4*x1^8 - 2*x1^7*x2"
+    " + 17/8*x1^9 + 2*x1^8*x2 + x1^10 - x1^11\n")
+FRACTION_WORD_LAST_TAIL = (
+    "-1 + 1/2*x2 + x3 - x1*x2 + 1/2*x1*x3 - 1/2*x1^3 - 1/2*x1^2*x2"
+    " - 1/2*x1*x2^2 + 3/2*x1*x2*x3 - x1*x3^2 + 9/8*x2^3 - 1/2*x2^2*x3"
+    " + 3/4*x1^2*x2^2 - x1^2*x2*x3 + 1/2*x1^5 - 2*x1^4*x2 + 5/2*x1^4*x3"
+    " - 17/8*x1^3*x2^2 + 2*x1^3*x2*x3 + 1/2*x1^5*x2 + x1^5*x3 + x1^4*x2^2"
+    " - 3/2*x1^7 - 1/8*x1^6*x2 - 2*x1^6*x3 - x1^5*x2^2 - 5/4*x1^8 - 2*x1^7*x2"
+    " + 17/8*x1^9 + 2*x1^8*x2 + x1^10 - x1^11")
+
+
+def test_fraction_heavy_word_prints_byte_identically():
+    phi = random_triangular(4, 3, seed=19, density=0.25)
+    psi = random_triangular(4, 3, seed=1019, density=0.25)
+    word = compose_all([invert(phi), psi], 4)
+    assert word.to_text() == FRACTION_WORD_TEXT
+    assert str(word.tails[3]) == FRACTION_WORD_LAST_TAIL
+
+
+# -- differential tests against sympy -------------------------------------------
+
+@pytest.fixture
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def _operand_pairs(seed: int, count: int, max_degree: int):
+    rng = Random(seed)
+    for _ in range(count):
+        p = wide_rational_polynomial(rng, rng.randint(1, 4), max_degree)
+        q = wide_rational_polynomial(rng, rng.randint(1, 4), max_degree)
+        yield rng, p, q
+
+
+def test_arithmetic_matches_sympy(sympy):
+    gens = sympy.symbols("x1:5")
+
+    def same(ours, theirs):
+        assert sympy.expand(to_sympy(sympy, ours, gens) - theirs) == 0
+
+    for rng, p, q in _operand_pairs(107, 25, 3):
+        sp, sq = to_sympy(sympy, p, gens), to_sympy(sympy, q, gens)
+        c = Fraction(rng.randint(-2 ** 40, 2 ** 40) or 1, rng.randint(1, 2 ** 40))
+        sc = sympy.Rational(c.numerator, c.denominator)
+        same(p * q, sp * sq)
+        same(p + q, sp + sq)
+        same(p - q, sp - sq)
+        same(-p, -sp)
+        same(p * c, sp * sc)
+        same(p / c, sp / sc)
+        same(p * 3, sp * 3)
+        same(p ** 2, sp ** 2)
+        r = wide_rational_polynomial(rng, 2, 2)
+        same(r ** 5, to_sympy(sympy, r, gens) ** 5)
+        for i in range(1, p.nvars + 1):
+            same(p.partial(i), sympy.diff(sp, gens[i - 1]))
+
+
+def test_substitute_matches_sympy(sympy):
+    gens = sympy.symbols("x1:5")
+    for rng, p, _ in _operand_pairs(108, 15, 2):
+        images = [wide_rational_polynomial(rng, rng.randint(1, 4), 2, density=0.25)
+                  for _ in range(p.nvars)]
+        expected = to_sympy(sympy, p, gens).subs(
+            {g: to_sympy(sympy, im, gens) for g, im in zip(gens, images)}, simultaneous=True)
+        assert sympy.expand(to_sympy(sympy, p.substitute(images), gens) - expected) == 0
+
+
+def test_equal_polynomials_hash_equal_across_nvars():
+    for _, p, q in _operand_pairs(109, 40, 3):
+        wide = p.promoted(p.nvars + 2)
+        rebuilt = Polynomial(dict(p.terms), p.nvars + 1)
+        roundabout = (p + q) - q
+        for other in (wide, rebuilt, roundabout):
+            assert other == p
+            assert hash(other) == hash(p)
