@@ -50,7 +50,6 @@ from .lie import (
     lie_closure,
     lower_central_series,
     nilpotency_class,
-    vectorize,
 )
 from .harness import (
     CounterexampleReport,

@@ -18,11 +18,6 @@ from .automorphisms import TriangularAutomorphism, _random_tails
 from .errors import CapExceededError, TriangularityError
 from .polynomials import Polynomial, as_scalar
 
-# Hard ceiling on power iterations; hit only on a bug, since triangular
-# derivations are locally nilpotent.
-_HARD_CAP = 10_000
-
-
 class TriangularDerivation:
     """Coefficient tuple (g_1, ..., g_n) of a triangular derivation."""
 
@@ -115,50 +110,53 @@ def bracket(d1: TriangularDerivation, d2: TriangularDerivation) -> TriangularDer
         d1.n, [d1.apply(g2) - d2.apply(g1) for g1, g2 in zip(d1.coeffs, d2.coeffs)])
 
 
-def _variable_index(d: TriangularDerivation, i: int) -> int:
-    """Least k with D^k(x_i) = 0."""
-    q = d.apply(Polynomial.variable(i, d.n))
-    k = 1
-    while q:
-        q = d.apply(q)
-        k += 1
-        if k > _HARD_CAP:
-            raise CapExceededError(
-                f"D^k(x{i}) survived {_HARD_CAP} applications; derivation is not locally nilpotent")
-    return k
+def _weights(derivations: Sequence[TriangularDerivation], n: int) -> list[int]:
+    """Weights w_1 = 1 and w_i = 1 + the largest weighted degree of the
+    derivations' d/dx_i coefficients (which involve x_1..x_{i-1} only).
+
+    Each of the derivations, and so each of their brackets, lowers weighted
+    degree by at least 1: D(x^e) = sum_i e_i g_i x^e / x_i with
+    wdeg(g_i) <= w_i - 1.  Hence D^k(p) = 0 once k > wdeg(p).
+    """
+    weights: list[int] = []
+    for i in range(n):
+        weights.append(1 + max((sum(e * w for e, w in zip(key, weights))
+                                for d in derivations for key in d.coeffs[i].terms),
+                               default=0))
+    return weights
 
 
 def nilpotency_index(d: TriangularDerivation, p: Polynomial) -> int:
     """Least k with D^k(p) = 0; 0 for the zero polynomial.
 
-    Local nilpotency guarantees termination; the cap (from the degree of p
-    and the per-variable indices) only trips on an implementation bug.
+    D lowers weighted degree by at least 1 (see `_weights`), so the index
+    is at most wdeg(p) + 1; surviving that many applications is a
+    property violation.
     """
     if not isinstance(p, Polynomial):
         p = Polynomial.constant(p)
     if not p:
         return 0
-    per_var = max((_variable_index(d, i) for i in range(1, d.n + 1)), default=1)
-    cap = 1 + p.total_degree() * per_var
-    q = p
-    k = 0
-    while q:
-        q = d.apply(q)
-        k += 1
-        if k > cap:
-            raise CapExceededError(
-                f"D^k(p) survived the nilpotency ceiling {cap}")
-    return k
+    weights = _weights([d], d.n)
+    cap = 1 + max(sum(e * w for e, w in zip(key, weights)) for key in p.terms)
+    for k in range(1, cap + 1):
+        p = d.apply(p)
+        if not p:
+            return k
+    raise CapExceededError(f"D^k(p) survived the nilpotency bound {cap}")
 
 
 def exponential(d: TriangularDerivation, s) -> TriangularAutomorphism:
     """exp(s*D): the unitriangular automorphism x_i -> sum_k s^k D^k(x_i) / k!.
 
-    The sum is finite by local nilpotency, and exact: s is a rational
-    scalar and factorials are computed exactly.
+    The sum is finite and exact: D^k(x_i) = 0 for k > w_i (see
+    `_weights`), s is a rational scalar and factorials are computed
+    exactly.  A coordinate whose series outruns its w_i + 1 terms is a
+    property violation.
     """
     s = as_scalar(s)
     n = d.n
+    weights = _weights([d], n)
     tails = []
     for i in range(1, n + 1):
         term = d.coeffs[i - 1]  # D(x_i)
@@ -167,6 +165,9 @@ def exponential(d: TriangularDerivation, s) -> TriangularAutomorphism:
         factorial = 1
         s_power = s
         while term:
+            if k > weights[i - 1]:
+                raise CapExceededError(
+                    f"series for coordinate {i} outran its {weights[i - 1] + 1} terms")
             if s_power:
                 coeff = as_scalar(Fraction(s_power) / factorial)
                 tail = tail + term * coeff
@@ -174,9 +175,6 @@ def exponential(d: TriangularDerivation, s) -> TriangularAutomorphism:
             k += 1
             factorial *= k
             s_power = s_power * s
-            if k > _HARD_CAP:
-                raise CapExceededError(
-                    f"series for coordinate {i} did not terminate within {_HARD_CAP} steps")
         tails.append(tail)
     return TriangularAutomorphism(n, (1,) * n, tails)
 

@@ -1,28 +1,40 @@
-"""Exact linear algebra on derivation coefficients and bracket closure.
+"""Exact linear algebra on derivation coefficients, bracket closure, and
+the structure constants of the closed algebra.
 
-Derivations are vectorized against a *frame*: an ordered list of
-(coordinate index, monomial) pairs covering every coefficient monomial
-seen so far.  The frame grows lazily as bracket results introduce new
-monomials; no a-priori degree bound is assumed.  All elimination is
-fraction-exact Gaussian elimination, so ranks and dimensions are never
-approximate.
+Derivations are vectors over a *frame*: an ordered list of (coordinate
+index, monomial) pairs covering every coefficient monomial seen so far.
+The frame grows lazily as bracket results introduce new monomials; no
+a-priori degree bound is assumed.  All elimination is fraction-exact
+Gaussian elimination, so ranks and dimensions are never approximate.
 
 `lie_closure` saturates a generator set under the bracket.  For
 triangular generators the loop provably terminates (the generated Lie
 algebra is finite-dimensional and nilpotent) within a number of rounds
 derived from the generators, so hitting that cap is a property violation.
+
+Everything after the closure is rational linear algebra on the structure
+constants, [e_i, e_j] = sum_k c_ij^k e_k (de Graaf, *Lie Algebras: Theory
+and Algorithms*, 2000, ch. 1).  The basis e_k is the closure's reduced
+rows: e_k is 1 at its pivot column p_k and 0 at every other pivot, so a
+vector v of the span is sum_k v[p_k] e_k and c_ij^k is read off
+[e_i, e_j] at p_k; a bracket that leaves a remainder shows the basis is
+not bracket-closed.  The dim*(dim-1)/2 brackets are paid once per basis,
+on first use; the series are then row spaces of coordinate vectors in
+Q^dim, bracketed bilinearly, and no polynomial is bracketed again.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
+from itertools import chain, combinations, product
+from typing import Iterable, Sequence
 
-from .derivations import TriangularDerivation, bracket
+from .derivations import TriangularDerivation, _weights, bracket
 from .errors import CapExceededError, PropertyViolation
-from .polynomials import Monomial, Polynomial, Scalar, as_scalar
+from .polynomials import Polynomial, Scalar, as_scalar
 
-FrameKey = tuple[int, Monomial]  # (coordinate index, exponents)
+Coordinates = dict[int, Scalar]  # {basis index: nonzero coordinate}
 
 
 def _derivation_entries(d: TriangularDerivation):
@@ -31,29 +43,12 @@ def _derivation_entries(d: TriangularDerivation):
             yield (i, key), coeff
 
 
-def vectorize(d: TriangularDerivation, frame: Sequence[FrameKey]) -> list[Scalar]:
-    """Coordinates of d in the given frame, whose exponent tuples may omit
-    trailing zeros.
-
-    Raises ValueError if some coefficient monomial of d lies outside the
-    frame (the frame must be grown before the call).
-    """
-    index = {(i, key + (0,) * (d.n - len(key))): pos for pos, (i, key) in enumerate(frame)}
-    vec: list[Scalar] = [0] * len(frame)
-    for key, coeff in _derivation_entries(d):
-        pos = index.get(key)
-        if pos is None:
-            raise ValueError(f"frame incomplete: no column for {key}")
-        vec[pos] = coeff
-    return vec
-
-
 class _RowSpace:
     """Growable frame plus a row-reduced basis of vectors over it."""
 
     def __init__(self):
-        self.frame: list[FrameKey] = []
-        self.index: dict[FrameKey, int] = {}
+        self.frame: list = []    # keys: (coordinate index, exponents) or basis indices
+        self.index: dict = {}
         self.rows: list[list[Scalar]] = []   # reduced, sorted by pivot column
         self.pivots: list[int] = []
 
@@ -61,25 +56,27 @@ class _RowSpace:
     def dimension(self) -> int:
         return len(self.rows)
 
-    def _column(self, key: FrameKey) -> int:
-        pos = self.index.get(key)
-        if pos is None:
-            pos = len(self.frame)
-            self.frame.append(key)
-            self.index[key] = pos
-            for row in self.rows:
-                row.append(0)
-        return pos
-
-    def _vector(self, d: TriangularDerivation) -> list[Scalar]:
-        entries = [(self._column(key), coeff) for key, coeff in _derivation_entries(d)]
+    def vector(self, entries: Iterable, grow: bool = True) -> list[Scalar] | None:
+        """The dense vector of (key, value) entries over the frame.  A key
+        outside the frame gets a new column if `grow`; otherwise the vector
+        lies outside the span and the result is None."""
         vec: list[Scalar] = [0] * len(self.frame)
-        for pos, coeff in entries:
-            vec[pos] = coeff
+        for key, value in entries:
+            pos = self.index.get(key)
+            if pos is None:
+                if not grow:
+                    return None
+                pos = self.index[key] = len(self.frame)
+                self.frame.append(key)
+                vec.append(0)
+                for row in self.rows:
+                    row.append(0)
+            vec[pos] = value
         return vec
 
     def reduce(self, vec: list[Scalar]) -> list[Scalar]:
-        vec = vec + [0] * (len(self.frame) - len(vec))
+        """A reduced copy of vec: zero exactly when vec lies in the span."""
+        vec = vec[:]
         for pivot, row in zip(self.pivots, self.rows):
             factor = vec[pivot]
             if factor:
@@ -88,16 +85,10 @@ class _RowSpace:
                         vec[j] = vec[j] - factor * row[j]
         return vec
 
-    def contains(self, d: TriangularDerivation) -> bool:
-        try:
-            vec = vectorize(d, self.frame)
-        except ValueError:
-            return False
-        return not any(self.reduce(vec))
-
-    def add(self, d: TriangularDerivation) -> bool:
-        """Insert d's vector if independent; True iff the rank grew."""
-        vec = self.reduce(self._vector(d))
+    def add(self, entries: Iterable) -> bool:
+        """Insert the vector of (key, value) entries, growing the frame, if
+        independent; True iff the rank grew."""
+        vec = self.reduce(self.vector(entries))
         pivot = next((j for j, v in enumerate(vec) if v), None)
         if pivot is None:
             return False
@@ -114,17 +105,10 @@ class _RowSpace:
         self.pivots.insert(at, pivot)
         return True
 
-    def derivations(self, n: int) -> list[TriangularDerivation]:
-        """Rebuild one derivation per reduced row (a canonical basis)."""
-        out = []
-        for row in self.rows:
-            coeff_terms: list[dict] = [dict() for _ in range(n)]
-            for pos, value in enumerate(row):
-                if value:
-                    i, key = self.frame[pos]
-                    coeff_terms[i - 1][key] = value
-            out.append(TriangularDerivation(n, [Polynomial(t, n) for t in coeff_terms]))
-        return out
+    def basis(self) -> list[dict]:
+        """Each reduced row as {frame key: nonzero value}, in row order."""
+        return [{self.frame[pos]: value for pos, value in enumerate(row) if value}
+                for row in self.rows]
 
 
 class LieBasis:
@@ -137,7 +121,12 @@ class LieBasis:
 
     def __init__(self, n: int, space: _RowSpace):
         self.n = n
-        self.elements = space.derivations(n)
+        self.elements = []
+        for row in space.basis():
+            coeff_terms: list[dict] = [dict() for _ in range(n)]
+            for (i, key), value in row.items():
+                coeff_terms[i - 1][key] = value
+            self.elements.append(TriangularDerivation(n, [Polynomial(t, n) for t in coeff_terms]))
         self._space = space
 
     @property
@@ -146,35 +135,30 @@ class LieBasis:
 
     def contains(self, d: TriangularDerivation) -> bool:
         """True iff d lies in the rational span of the basis."""
-        return self._space.contains(d)
+        vec = self._space.vector(_derivation_entries(d), grow=False)
+        return vec is not None and not any(self._space.reduce(vec))
+
+    @cached_property
+    def structure_constants(self) -> dict[tuple[int, int], Coordinates]:
+        """{(i, j): {k: c_ij^k}} for each ordered pair of 0-based indices
+        into `elements` with a nonzero bracket.  PropertyViolation if a
+        bracket leaves the span (the basis is not bracket-closed)."""
+        space = self._space
+        constants: dict[tuple[int, int], Coordinates] = {}
+        for i, j in combinations(range(self.dimension), 2):
+            vec = space.vector(_derivation_entries(bracket(self.elements[i], self.elements[j])),
+                               grow=False)
+            if vec is None or any(space.reduce(vec)):
+                raise PropertyViolation(
+                    f"[e{i + 1}, e{j + 1}] lies outside the span; the basis is not bracket-closed")
+            coords = {k: vec[p] for k, p in enumerate(space.pivots) if vec[p]}
+            if coords:
+                constants[i, j] = coords
+                constants[j, i] = {k: -v for k, v in coords.items()}
+        return constants
 
     def __repr__(self) -> str:
         return f"LieBasis(n={self.n}, dimension={self.dimension})"
-
-
-def _span(derivations: Sequence[TriangularDerivation]) -> _RowSpace:
-    space = _RowSpace()
-    for d in derivations:
-        if not d.is_zero():
-            space.add(d)
-    return space
-
-
-def _round_bound(generators: Sequence[TriangularDerivation], n: int) -> int:
-    """Most rounds `lie_closure` can take on these generators.
-
-    With weights w_1 = 1 and w_i = 1 + (the largest weighted degree of
-    the generators' d/dx_i coefficients), every generator lowers weighted
-    degree by at least 1, so a bracket of length L lowers it by at least
-    L; a nonzero derivation lowers it by at most max_i w_i.  Round r only
-    adds brackets of length >= r + 1, so there are at most max_i w_i rounds.
-    """
-    weights: list[int] = []
-    for i in range(n):
-        weights.append(1 + max((sum(e * w for e, w in zip(key, weights))
-                                for d in generators for key in d.coeffs[i].terms),
-                               default=0))
-    return max(weights)
 
 
 def lie_closure(generators: Sequence[TriangularDerivation], cap: int | None = None) -> LieBasis:
@@ -182,9 +166,10 @@ def lie_closure(generators: Sequence[TriangularDerivation], cap: int | None = No
 
     Worklist saturation: each round brackets (new, old) and (new, new)
     pairs and inserts the independent results.  Rounds are capped by
-    `cap`, by default the bound derived from the generators' weighted
-    degrees (see `_round_bound`), which valid triangular input never
-    exceeds.
+    `cap`, by default max_i w_i over the generators' weights (see
+    `derivations._weights`): a bracket of length L lowers weighted degree
+    by at least L, a nonzero derivation by at most max_i w_i, and round r
+    only adds brackets of length >= r + 1.  Valid input never exceeds it.
     """
     generators = list(generators)
     if not generators:
@@ -194,9 +179,9 @@ def lie_closure(generators: Sequence[TriangularDerivation], cap: int | None = No
         if d.n != n:
             raise ValueError(f"dimension mismatch: {d.n} vs {n}")
     if cap is None:
-        cap = _round_bound(generators, n)
+        cap = max(_weights(generators, n))
     space = _RowSpace()
-    new = [d for d in generators if space.add(d)]
+    new = [d for d in generators if space.add(_derivation_entries(d))]
     old: list[TriangularDerivation] = []
     rounds = 0
     while new:
@@ -206,35 +191,47 @@ def lie_closure(generators: Sequence[TriangularDerivation], cap: int | None = No
                 f"bracket closure still growing after {cap} rounds "
                 f"(dimension {space.dimension})")
         batch = []
-        for a in new:
-            for b in old:
-                c = bracket(a, b)
-                if not c.is_zero() and space.add(c):
-                    batch.append(c)
-        for ai in range(len(new)):
-            for bi in range(ai + 1, len(new)):
-                c = bracket(new[ai], new[bi])
-                if not c.is_zero() and space.add(c):
-                    batch.append(c)
+        for a, b in chain(product(new, old), combinations(new, 2)):
+            c = bracket(a, b)
+            if not c.is_zero() and space.add(_derivation_entries(c)):
+                batch.append(c)
         old.extend(new)
         new = batch
     return LieBasis(n, space)
 
 
+def _coordinate_bracket(u: Coordinates, v: Coordinates,
+                        constants: dict[tuple[int, int], Coordinates]) -> Coordinates:
+    """[u, v] of two coordinate vectors, bilinear in the structure constants."""
+    out: Coordinates = {}
+    for i, a in u.items():
+        for j, b in v.items():
+            c = constants.get((i, j))
+            if c:
+                ab = a * b
+                for k, value in c.items():
+                    out[k] = out.get(k, 0) + ab * value
+    return {k: value for k, value in out.items() if value}
+
+
 def _series(basis: LieBasis, left_full: bool) -> list[int]:
+    constants = basis.structure_constants
+    full = [{k: 1} for k in range(basis.dimension)]
     dims = [basis.dimension]
-    current = basis.elements
+    current = full
     while dims[-1] > 0:
-        left = basis.elements if left_full else current
-        nxt = _span([bracket(a, b) for a in left for b in current])
-        dim = nxt.dimension
+        space = _RowSpace()
+        for a, b in product(full, current) if left_full else combinations(current, 2):
+            if c := _coordinate_bracket(a, b, constants):
+                space.add(c.items())
+        dim = space.dimension
         if dim >= dims[-1]:
             name = "lower central" if left_full else "derived"
             raise PropertyViolation(
                 f"{name} series stalled at dimension {dim}; "
                 "the closed algebra is not nilpotent")
         dims.append(dim)
-        current = nxt.derivations(basis.n)
+        current = space.basis()
     return dims
 
 

@@ -337,6 +337,8 @@ class Polynomial:
         return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
+        if self.is_constant():  # __eq__ equates a constant with its scalar
+            return hash(self.constant_term())
         return hash((self._den, frozenset(self._num.items())))
 
     # -- arithmetic ----------------------------------------------------

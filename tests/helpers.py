@@ -7,6 +7,7 @@ seed and stays reproducible.
 from fractions import Fraction
 from random import Random
 
+from triaut.derivations import bracket
 from triaut.polynomials import Polynomial, monomials_up_to_degree
 
 
@@ -53,3 +54,41 @@ def to_sympy(sympy, p: Polynomial, gens):
     return sympy.Add(*(sympy.Rational(Fraction(c).numerator, Fraction(c).denominator)
                        * sympy.Mul(*(g ** e for g, e in zip(gens, key)))
                        for key, c in p.terms.items()))
+
+
+def _independent(derivations):
+    """A maximal linearly independent subset, by exact sparse elimination:
+    each kept vector is reduced by the earlier ones, in order, and scaled
+    to 1 at its least nonzero key."""
+    rows, kept = [], []
+    for d in derivations:
+        vec = {(i, key): Fraction(c)
+               for i, g in enumerate(d.coeffs, start=1) for key, c in g.terms.items()}
+        for pivot, row in rows:
+            factor = vec.get(pivot)
+            if factor:
+                for key, value in row.items():
+                    s = vec.get(key, 0) - factor * value
+                    if s:
+                        vec[key] = s
+                    else:
+                        del vec[key]
+        if vec:
+            pivot = min(vec)
+            rows.append((pivot, {key: value / vec[pivot] for key, value in vec.items()}))
+            kept.append(d)
+    return kept
+
+
+def reference_series(basis, left_full: bool) -> list[int]:
+    """Lower central (left_full) or derived series dimensions, computed by
+    bracketing the polynomial derivations of every term anew: a test oracle
+    for the series that `triaut.lie` computes on structure constants."""
+    dims = [basis.dimension]
+    current = list(basis.elements)
+    while dims[-1] > 0:
+        left = basis.elements if left_full else current
+        current = _independent([bracket(a, b) for a in left for b in current])
+        assert len(current) < dims[-1], f"series stalled at {dims + [len(current)]}"
+        dims.append(len(current))
+    return dims

@@ -127,6 +127,11 @@ def test_nilpotency_index_examples():
     assert nilpotency_index(d, Polynomial.zero(2)) == 0
 
 
+def test_nilpotency_index_is_bounded_by_the_weighted_degree_not_a_constant():
+    # w_2 = 10002, so D^k(x2) = 0 exactly from k = wdeg(x2) + 1 = 10003 on
+    assert nilpotency_index(make_derivation(2, [1, x1 ** 10001]), x2) == 10003
+
+
 def test_nilpotency_index_is_exact():
     rng = Random(305)
     for _ in range(25):
@@ -174,6 +179,14 @@ def test_one_parameter_group_law():
         t = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
         assert compose(exponential(d, s), exponential(d, t)) == exponential(d, s + t)
         assert invert(exponential(d, s)) == exponential(d, -s)
+
+
+def test_exponential_runs_the_whole_weighted_series():
+    # D = d/dx1 + x1^5 d/dx2 has w_2 = 6: D^k(x2) is nonzero up to k = 6,
+    # and exp(sD)(x2) = x2 + ((x1 + s)^6 - x1^6) / 6
+    d = make_derivation(2, [1, x1 ** 5])
+    for s in (1, Fraction(-2, 3)):
+        assert exponential(d, s).tails[1] == ((x1 + s) ** 6 - x1 ** 6) / 6
 
 
 def test_exponential_is_always_unitriangular():

@@ -4,16 +4,20 @@ from random import Random
 import pytest
 
 from triaut.derivations import bracket, make_derivation, random_triangular_derivation
-from triaut.errors import CapExceededError
+from triaut.errors import CapExceededError, PropertyViolation
 from triaut.lie import (
+    LieBasis,
+    _derivation_entries,
+    _RowSpace,
     derived_series,
     closure_report,
     lie_closure,
     lower_central_series,
     nilpotency_class,
-    vectorize,
 )
 from triaut.polynomials import Polynomial
+
+from helpers import reference_series
 
 x1 = Polynomial.variable(1, 2)
 
@@ -200,35 +204,59 @@ def test_closure_requires_generators_and_common_dimension():
         lie_closure([make_derivation(2, [1, 0]), make_derivation(3, [1, 0, 0])])
 
 
-# -- vectorization ------------------------------------------------------------
+# -- structure constants and series -------------------------------------------
 
-def test_vectorize_examples():
-    assert vectorize(make_derivation(2, [0, 1]), [(2, ())]) == [1]
-    assert vectorize(make_derivation(2, [0, 2 * x1]), [(2, (1,))]) == [2]
-    assert vectorize(make_derivation(2, [0, 0]), [(2, (1,)), (1, ())]) == [0, 0]
-
-
-def test_vectorize_rejects_incomplete_frame():
-    with pytest.raises(ValueError):
-        vectorize(make_derivation(2, [1, x1]), [(1, ())])
+def span_basis(derivations):
+    """A LieBasis over the span of the derivations, closed or not."""
+    space = _RowSpace()
+    for d in derivations:
+        space.add(_derivation_entries(d))
+    return LieBasis(derivations[0].n, space)
 
 
-def test_vectorize_is_linear():
-    def strip(key):
-        while key and key[-1] == 0:
-            key = key[:-1]
-        return key
+def random_closures(seed, count):
+    rng = Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        yield lie_closure([random_triangular_derivation(n, 2, rng=rng, density=0.3)
+                           for _ in range(rng.randint(1, 3))])
 
-    rng = Random(404)
-    for _ in range(10):
-        a = random_triangular_derivation(3, 2, rng=rng)
-        b = random_triangular_derivation(3, 2, rng=rng)
-        frame = sorted({(i, strip(key))
-                        for d in (a, b, a + b)
-                        for i, g in enumerate(d.coeffs, start=1)
-                        for key in g.terms})
-        va, vb = vectorize(a, frame), vectorize(b, frame)
-        assert vectorize(a + b, frame) == [p + q for p, q in zip(va, vb)]
+
+def test_series_agree_with_the_polynomial_bracket_reference():
+    for basis in random_closures(405, 100):
+        assert lower_central_series(basis) == reference_series(basis, left_full=True)
+        assert derived_series(basis) == reference_series(basis, left_full=False)
+
+
+def test_structure_constants_rebuild_every_bracket():
+    for basis in random_closures(406, 20):
+        e, c = basis.elements, basis.structure_constants
+        for i, a in enumerate(e):
+            for j, b in enumerate(e):
+                combination = make_derivation(basis.n, [0] * basis.n)
+                for k, value in c.get((i, j), {}).items():
+                    combination = combination + e[k] * value
+                assert bracket(a, b) == combination
+
+
+def test_series_of_a_basis_that_is_not_bracket_closed_raise():
+    # [d/dx1, x1 d/dx2] = d/dx2 has a monomial outside the frame;
+    # [d/dx1, (x1 + 1) d/dx2] = d/dx2 lies in the frame but not the span
+    for coeff in (x1, x1 + 1):
+        basis = span_basis([make_derivation(2, [1, 0]), make_derivation(2, [0, coeff])])
+        with pytest.raises(PropertyViolation):
+            lower_central_series(basis)
+        with pytest.raises(PropertyViolation):
+            derived_series(basis)
+
+
+def test_contains_rejects_vectors_outside_the_frame_or_the_span():
+    basis = span_basis([make_derivation(2, [1, 0]), make_derivation(2, [0, x1 + 1])])
+    assert basis.contains(make_derivation(2, [2, 2 * x1 + 2]))
+    assert basis.contains(make_derivation(2, [0, 0]))
+    assert not basis.contains(make_derivation(2, [0, x1 ** 2]))   # monomial outside the frame
+    assert not basis.contains(make_derivation(2, [0, x1]))        # in the frame, not the span
+    assert not basis.contains(make_derivation(2, [1, 1]))
 
 
 # -- report --------------------------------------------------------------------

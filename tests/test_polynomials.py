@@ -353,3 +353,11 @@ def test_equal_polynomials_hash_equal_across_nvars():
         for other in (wide, rebuilt, roundabout):
             assert other == p
             assert hash(other) == hash(p)
+
+
+def test_constant_polynomials_hash_like_their_scalars():
+    for scalar, p in ((3, Polynomial.constant(3)), (0, Polynomial.zero(2)),
+                      (Fraction(1, 2), Polynomial.constant(Fraction(1, 2), 3))):
+        assert p == scalar
+        assert hash(p) == hash(scalar)
+        assert len({p, scalar}) == 1
