@@ -141,7 +141,7 @@ class DepthReport:
     n: int
     depth: int
     trials: int
-    prefix_fixed: int          # x1..x_{depth-1} fixed in every sample
+    prefix_fixed: int          # longest x1..x_s fixed by every sample
     identities: int            # samples that collapsed to the identity
     max_degree: int
 
@@ -184,6 +184,7 @@ def derived_depth_test(n: int, depth: int, trials: int, seed: int,
         return commutator(nested(d - 1), nested(d - 1))
 
     prefix = min(depth - 1, n)
+    prefix_fixed = n
     identities = 0
     max_degree = 0
     for trial in range(trials):
@@ -197,11 +198,12 @@ def derived_depth_test(n: int, depth: int, trials: int, seed: int,
         if depth == n + 1 and not w.is_identity():
             raise PropertyViolation(
                 f"depth-{n + 1} commutator is not the identity:\n{w.to_text()}")
+        prefix_fixed = min(prefix_fixed, max(s for s in range(prefix, n + 1) if w.fixes_prefix(s)))
         if w.is_identity():
             identities += 1
         max_degree = max(max_degree, w.degree())
     return DepthReport(n=n, depth=depth, trials=trials,
-                       prefix_fixed=trials, identities=identities,
+                       prefix_fixed=prefix_fixed, identities=identities,
                        max_degree=max_degree)
 
 

@@ -120,10 +120,26 @@ def test_degree_fuzz_rejects_bad_parameters():
 
 # -- derived depth --------------------------------------------------------------
 
+def longest_fixed_prefix(w):
+    return next((i for i in range(w.n) if w.lambdas[i] != 1 or w.tails[i]), w.n)
+
+
 def test_depth_one_commutators_are_unitriangular():
     report = derived_depth_test(3, 1, trials=20, seed=3)
     assert report.trials == 20
-    assert report.prefix_fixed == 20
+    # replay the draws: each trial commutes two fresh random maps
+    rng = Random(3)
+    samples = [commutator(random_triangular(3, 2, rng=rng, coeff_bound=2, density=0.4),
+                          random_triangular(3, 2, rng=rng, coeff_bound=2, density=0.4))
+               for _ in range(20)]
+    assert all(w.is_unitriangular() for w in samples)
+    assert report.prefix_fixed == min(longest_fixed_prefix(w) for w in samples)
+
+
+def test_prefix_fixed_is_the_shortest_fixed_prefix_over_the_samples():
+    assert derived_depth_test(3, 1, trials=7, seed=1).prefix_fixed == 0
+    assert derived_depth_test(3, 3, trials=5, seed=2).prefix_fixed >= 2
+    assert derived_depth_test(2, 3, trials=3, seed=2).prefix_fixed == 2
 
 
 def test_full_depth_commutators_are_trivial():
