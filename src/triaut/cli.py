@@ -3,7 +3,12 @@
 Exit codes: 0 success, 1 a checked mathematical property was falsified,
 2 input or usage error.  With --json, output is a single object with the
 fixed key set {command, inputs, result, diagnostics} on both success and
-failure.
+failure, usage errors included.
+
+`run(argv, stdout, stderr)` is the in-process entry point.  All of its
+output, argparse's usage, help and error text included, goes to the given
+streams.  The parser is built once per process, on the first call, and
+reused by every later one.
 """
 
 from __future__ import annotations
@@ -11,7 +16,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from functools import cache
+from gettext import gettext
 from typing import Callable, NamedTuple
 
 from . import harness
@@ -148,8 +156,24 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _UsageError(Exception):
+    """args: (argparse's usage and error lines, the error message alone)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises `_UsageError` where argparse would print and exit, so that a
+    usage error reaches `run`'s streams; subparsers inherit the class."""
+
+    def error(self, message):
+        # argparse's own wording, through the same gettext lookup
+        line = gettext("%(prog)s: error: %(message)s\n") % {"prog": self.prog,
+                                                              "message": message}
+        raise _UsageError(self.format_usage() + line, message)
+
+
+@cache
+def _parser() -> _Parser:
+    parser = _Parser(
         prog="triaut",
         description="Exact arithmetic for triangular automorphisms, derivations, "
                     "and the groups and Lie algebras they generate.")
@@ -200,7 +224,7 @@ def _render(result) -> tuple[object, str]:
     return result.to_dict(), result.summary() + "\n"
 
 
-def _emit_json(command: str, inputs: list, result, diagnostics: list[str],
+def _emit_json(command: str | None, inputs: list, result, diagnostics: list[str],
                stdout) -> None:
     payload = {"command": command, "inputs": inputs, "result": result,
                "diagnostics": diagnostics}
@@ -211,11 +235,20 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     """Parse argv, execute, and return the exit code."""
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            args = _parser().parse_args(argv)
+    except SystemExit as exc:  # --help
         return 0 if not exc.code else 2
+    except _UsageError as exc:
+        text, message = exc.args
+        flags = argv[:argv.index("--")] if "--" in argv else argv
+        if "--json" in flags:
+            name = next((a for a in flags if not a.startswith("-")), None)
+            _emit_json(name if name in _COMMANDS else None, [], None, [message], stdout)
+        print(text, end="", file=stderr)
+        return 2
     wants_json = getattr(args, "json", False)
     command = _COMMANDS[args.command]
     try:

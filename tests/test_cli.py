@@ -41,6 +41,13 @@ def flow_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def ddx1_file(tmp_path):
+    path = tmp_path / "ddx1.der"
+    path.write_text("n=2\ndx1 <- 1\ndx2 <- 0\n")
+    return str(path)
+
+
 def test_power_prints_the_degree_four_square(phi_file):
     code, out, err = invoke(["power", phi_file, "2"])
     assert code == 0 and err == ""
@@ -232,16 +239,14 @@ def _json_header(argv):
     return payload["command"], payload["inputs"]
 
 
-def test_json_command_and_inputs_are_pinned_for_every_subcommand(
-        tmp_path, phi_file, heis_file, flow_file):
-    ddx1 = tmp_path / "ddx1.der"
-    ddx1.write_text("n=2\ndx1 <- 1\ndx2 <- 0\n")
-    ddx1 = str(ddx1)
+def named(*pairs):
+    return [{"name": name, "value": value} for name, value in pairs]
 
-    def named(*pairs):
-        return [{"name": name, "value": value} for name, value in pairs]
 
-    cases = [
+def _every_subcommand(ddx1, phi_file, heis_file, flow_file):
+    """(argv, echoed inputs) pairs covering all 12 subcommands; the
+    harness commands run with non-default flags first, then with none."""
+    return [
         (["compose", phi_file, phi_file],
          named(("outer", phi_file), ("inner", phi_file))),
         (["invert", phi_file], named(("automorphism", phi_file))),
@@ -259,15 +264,72 @@ def test_json_command_and_inputs_are_pinned_for_every_subcommand(
          named(("n", 1), ("m", 1), ("word_len", 8), ("trials", 1000), ("seed", 0))),
         (["derived-depth", "2", "1", "--trials", "3", "--seed", "5"],
          named(("n", 2), ("depth", 1), ("trials", 3), ("seed", 5))),
+        (["derived-depth", "2", "1"],
+         named(("n", 2), ("depth", 1), ("trials", 50), ("seed", 0))),
         (["unipotent-test", heis_file, flow_file, "--trials", "3", "--word-len", "2",
           "--seed", "4"],
          named(("derivations", heis_file), ("derivations", flow_file),
-               ("word_len", 2), ("trials", 3), ("seed", 4))),
+                ("word_len", 2), ("trials", 3), ("seed", 4))),
         (["counterexample", "--word-len", "4", "--", "-1/2", "6/2"],
          named(("a", "-1/2"), ("b", "3"), ("word_len", 4))),
     ]
+
+
+def test_json_command_and_inputs_are_pinned_for_every_subcommand(
+        ddx1_file, phi_file, heis_file, flow_file):
     seen = set()
-    for argv, inputs in cases:
+    for argv, inputs in _every_subcommand(ddx1_file, phi_file, heis_file, flow_file):
         assert _json_header(argv) == (argv[0], inputs)
         seen.add(argv[0])
     assert len(seen) == 12
+
+
+COMPOSE_USAGE = ("usage: triaut compose [-h] [--json] outer inner\n"
+                 "triaut compose: error: the following arguments are required: outer, inner\n")
+
+
+def test_usage_error_text_goes_to_the_given_stderr(capsys):
+    code, out, err = invoke(["compose"])
+    assert (code, out, err) == (2, "", COMPOSE_USAGE)
+    code, out, err = invoke(["power", "phi.aut", "two"])
+    assert code == 2 and out == ""
+    assert err.endswith("triaut power: error: argument k: invalid int value: 'two'\n")
+    assert capsys.readouterr() == ("", "")
+
+
+def test_help_text_goes_to_the_given_stdout(capsys):
+    code, out, err = invoke(["--help"])
+    assert code == 0 and err == ""
+    assert out.startswith("usage: triaut [-h]")
+    assert all(name in out for name in ("compose", "derived-depth", "counterexample"))
+    code, out, _ = invoke(["fuzz-degree", "--help"])
+    assert code == 0 and "number of sampled trials (default 1000)" in out
+    assert capsys.readouterr() == ("", "")
+
+
+def test_json_usage_error_keeps_schema():
+    code, out, err = invoke(["compose", "--json"])
+    assert code == 2 and err == COMPOSE_USAGE
+    assert json.loads(out) == {
+        "command": "compose", "inputs": [], "result": None,
+        "diagnostics": ["the following arguments are required: outer, inner"]}
+    code, out, _ = invoke(["no-such-command", "--json"])
+    payload = json.loads(out)
+    assert code == 2 and payload["command"] is None and payload["result"] is None
+    assert payload["diagnostics"][0].startswith("argument command: invalid choice")
+    # after '--', "--json" is an operand, not the flag
+    code, out, _ = invoke(["compose", "--", "--json"])
+    assert (code, out) == (2, "")
+
+
+def test_in_process_calls_are_independent(ddx1_file, phi_file, heis_file, flow_file):
+    cases = _every_subcommand(ddx1_file, phi_file, heis_file, flow_file)
+    first = {}
+    for _ in range(2):
+        for argv, inputs in cases:
+            argv = argv[:1] + ["--json"] + argv[1:]
+            for call in (argv, ["compose", "--json"], argv[:1] + ["--help"]):
+                result = invoke(call)
+                assert first.setdefault(tuple(call), result) == result
+            code, out, _ = first[tuple(argv)]
+            assert code == 0 and json.loads(out)["inputs"] == inputs
