@@ -142,7 +142,6 @@ def compose(outer: TriangularAutomorphism,
         raise ValueError(f"dimension mismatch: {outer.n} vs {inner.n}")
     n = outer.n
     coords = inner.coordinates()
-    pow_cache: dict = {}
     lambdas = []
     tails = []
     for j in range(n):
@@ -150,7 +149,7 @@ def compose(outer: TriangularAutomorphism,
         lambdas.append(lam * inner.lambdas[j])
         tail = inner.tails[j] * lam
         if outer.tails[j]:
-            tail = tail + outer.tails[j]._substitute(coords, pow_cache)
+            tail = tail + outer.tails[j].substitute(coords)
         tails.append(tail)
     return TriangularAutomorphism(n, lambdas, tails)
 

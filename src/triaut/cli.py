@@ -5,10 +5,11 @@ Exit codes: 0 success, 1 a checked mathematical property was falsified,
 fixed key set {command, inputs, result, diagnostics} on both success and
 failure, usage errors included.
 
-`run(argv, stdout, stderr)` is the in-process entry point.  All of its
-output, argparse's usage, help and error text included, goes to the given
-streams.  The parser is built once per process, on the first call, and
-reused by every later one.
+`run(argv, stdout, stderr, stdin)` is the in-process entry point.  All of
+its output, argparse's usage, help and error text included, goes to the
+given streams, and a `-` operand is read from the given stdin.  The parser
+is built once per process, on the first call, and reused by every later
+one.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ from .lie import closure_report, lie_closure
 from .parsing import parse_automorphism, parse_derivation, parse_derivation_blocks
 
 
-def _read(path: str) -> str:
+def _read(args, path: str) -> str:
     if path == "-":
-        return sys.stdin.read()
+        return args.stdin.read()
     with open(path, "r", encoding="utf-8") as handle:
         return handle.read()
 
@@ -51,26 +52,27 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}")
 
 
-def _automorphism(path: str):
-    return parse_automorphism(_read(path))
+def _automorphism(args, path: str):
+    return parse_automorphism(_read(args, path))
 
 
-def _derivation(path: str):
-    return parse_derivation(_read(path))
+def _derivation(args, path: str):
+    return parse_derivation(_read(args, path))
 
 
-def _derivation_files(paths: list[str]) -> list:
-    return [d for path in paths for d in parse_derivation_blocks(_read(path))]
+def _derivation_files(args, paths: list[str]) -> list:
+    return [d for path in paths for d in parse_derivation_blocks(_read(args, path))]
 
 
 def _factor(args) -> tuple[dict, str]:
-    texts = [f.to_text() for f in elementary_factorization(_automorphism(args.automorphism))]
+    phi = _automorphism(args, args.automorphism)
+    texts = [f.to_text() for f in elementary_factorization(phi)]
     return ({"factors": texts, "count": len(texts)},
             "\n".join(texts) if texts else "(identity: empty factorization)\n")
 
 
 def _closure(args) -> tuple[dict, str]:
-    report = closure_report(lie_closure(_derivation_files(args.derivations), cap=args.cap))
+    report = closure_report(lie_closure(_derivation_files(args, args.derivations), cap=args.cap))
     return report, (f"dimension: {report['dimension']}\n"
                     f"nilpotency class: {report['nilpotency_class']}\n"
                     f"lower central series: {report['lower_central_series']}\n"
@@ -83,7 +85,8 @@ class _Command(NamedTuple):
     the fields after `handler` declare the shared flags (a default for
     trials/word_len, a switch for seed/cap).  `handler(args)` returns an
     automorphism, a derivation, a harness report, or a ready
-    (json result, human text) pair.  Handlers call library functions by
+    (json result, human text) pair; `args.stdin` is the stream a `-`
+    operand is read from.  Handlers call library functions by
     module-global name at call time, so rebinding a module attribute
     (as a tracer does) reaches every command.
     """
@@ -105,29 +108,29 @@ _COMMANDS = {
     "compose": _Command(
         "compose two automorphisms (first file outermost)",
         (("outer", {}), ("inner", {})),
-        lambda a: compose(_automorphism(a.outer), _automorphism(a.inner))),
+        lambda a: compose(_automorphism(a, a.outer), _automorphism(a, a.inner))),
     "invert": _Command(
         "invert an automorphism", (("automorphism", {}),),
-        lambda a: invert(_automorphism(a.automorphism))),
+        lambda a: invert(_automorphism(a, a.automorphism))),
     "power": _Command(
         "k-fold self-composition (negative k inverts)",
         (("automorphism", {}), ("k", _INT)),
-        lambda a: power(_automorphism(a.automorphism), a.k)),
+        lambda a: power(_automorphism(a, a.automorphism), a.k)),
     "commutator": _Command(
         "phi psi phi^-1 psi^-1", (("phi", {}), ("psi", {})),
-        lambda a: commutator(_automorphism(a.phi), _automorphism(a.psi))),
+        lambda a: commutator(_automorphism(a, a.phi), _automorphism(a, a.psi))),
     "factor": _Command(
         "elementary factorization of an automorphism", (("automorphism", {}),),
         _factor),
     "exp": _Command(
         "exponential of a derivation at a rational parameter",
         (("derivation", {}), ("s", _RATIONAL)),
-        lambda a: exponential(_derivation(a.derivation), a.s),
+        lambda a: exponential(_derivation(a, a.derivation), a.s),
         epilog="write flags first and '--' before a negative parameter: "
                "triaut exp flow.der -- -1/2"),
     "bracket": _Command(
         "Lie bracket of two derivations", (("first", {}), ("second", {})),
-        lambda a: bracket(_derivation(a.first), _derivation(a.second))),
+        lambda a: bracket(_derivation(a, a.first), _derivation(a, a.second))),
     "closure": _Command(
         "bracket closure of derivations, with both series",
         (("derivations", {"nargs": "+",
@@ -144,7 +147,7 @@ _COMMANDS = {
     "unipotent-test": _Command(
         "products of exponentials stay unitriangular", (("derivations", {"nargs": "+"}),),
         lambda a: harness.unipotent_generation_test(
-            _derivation_files(a.derivations), a.word_len, a.trials, seed=a.seed),
+            _derivation_files(a, a.derivations), a.word_len, a.trials, seed=a.seed),
         seed=True, trials=200, word_len=6),
     "counterexample": _Command(
         "order-two pair whose generated group is not algebraic",
@@ -231,10 +234,12 @@ def _emit_json(command: str | None, inputs: list, result, diagnostics: list[str]
     print(json.dumps(payload, indent=2), file=stdout)
 
 
-def run(argv=None, stdout=None, stderr=None) -> int:
-    """Parse argv, execute, and return the exit code."""
+def run(argv=None, stdout=None, stderr=None, stdin=None) -> int:
+    """Parse argv, execute, and return the exit code.  Each stream left
+    as None is the process's own."""
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
+    stdin = stdin if stdin is not None else sys.stdin
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         with redirect_stdout(stdout), redirect_stderr(stderr):
@@ -251,6 +256,7 @@ def run(argv=None, stdout=None, stderr=None) -> int:
         return 2
     wants_json = getattr(args, "json", False)
     command = _COMMANDS[args.command]
+    args.stdin = stdin
     try:
         result, human = _render(command.handler(args))
     except PropertyViolation as exc:

@@ -20,7 +20,16 @@ Exponents must stay below 2**EXPONENT_BITS.  Construction rejects a
 larger one with ValueError, and a product whose exponent would reach
 the limit sets a guard bit, which is checked once per product (one pass
 over the result's keys), and raises ValueError instead of carrying into
-the next variable.
+the next variable.  Substitution checks the guard bits after every
+multiplication it makes, as one unchecked step can carry past the guard.
+
+Substitution evaluates by the multivariate Horner scheme: the polynomial
+is split on its highest variable and acc = acc * image + coefficient is
+folded in from the top power down, each coefficient evaluated the same
+way.  Each step multiplies into one fresh numerator dict and adds the
+coefficient into that same dict, over a running common denominator; no
+intermediate polynomial is built, and the result is divided by the
+input's denominator and normalised once.
 
 The form is normalised: the denominator is positive and shares no factor
 with all numerators together (it is 1 for integer polynomials, which
@@ -170,18 +179,94 @@ def _combine(a: "Polynomial", b: "Polynomial", sign: int) -> "Polynomial":
         sa *= den // da
         sb *= den // db
     out = dict(ta) if sa == 1 else {k: c * sa for k, c in ta.items()}
+    _add_into(out, tb, sb)
+    return _normalised(out, den, max(a.nvars, b.nvars))
+
+
+def _add_into(out: dict[int, int], terms: dict[int, int], scale: int) -> None:
+    """out += scale * terms, in place; new keys follow in terms' order and a
+    term that cancels is dropped."""
     get = out.get
-    for key, c in tb.items():
+    for key, c in terms.items():
         prev = get(key)
         if prev is None:
-            out[key] = c * sb
+            out[key] = c * scale
         else:
-            s = prev + c * sb
+            s = prev + c * scale
             if s:
                 out[key] = s
             else:
                 del out[key]
-    return _normalised(out, den, max(a.nvars, b.nvars))
+
+
+def _product(ta: dict[int, int], tb: dict[int, int], scale: int,
+             guards: int) -> dict[int, int]:
+    """scale * ta * tb as a fresh numerator dict, the larger operand's terms
+    in the outer loop.  Raises ValueError when an exponent reaches
+    2**EXPONENT_BITS, i.e. when a bit of `guards` is set."""
+    if len(ta) < len(tb):
+        ta, tb = tb, ta
+    out: dict[int, int] = {}
+    get = out.get
+    b_items = list(tb.items())
+    for ka, ca in ta.items():
+        if scale != 1:
+            ca *= scale
+        for kb, cb in b_items:
+            key = ka + kb
+            prev = get(key)
+            if prev is None:
+                out[key] = ca * cb
+            else:
+                s = prev + ca * cb
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+    if reduce(or_, out, 0) & guards:
+        raise ValueError(f"product has an exponent not below 2**{EXPONENT_BITS}")
+    return out
+
+
+def _horner(num: dict[int, int], images: list["Polynomial"],
+            guards: int) -> tuple[dict[int, int], int]:
+    """The nonzero integer polynomial `num` at x_i = images[i-1], as
+    (numerators, denominator), not normalised.
+
+    Multivariate Horner scheme (Peña & Sauer, "On the multivariate Horner
+    scheme", SIAM J. Numer. Anal. 37, 2000): split `num` on its highest
+    variable x_v as sum_e c_e * x_v^e, evaluate each c_e recursively, and
+    fold them in as acc = acc * images[v-1] + c_e from the top power down.
+    Each step writes one fresh dict over the lcm of the two denominators.
+    """
+    top = _width(max(num))
+    if not top:
+        return num, 1
+    shift = _SHIFT * (top - 1)
+    low = (1 << shift) - 1
+    parts: dict[int, dict[int, int]] = {}
+    for key, c in num.items():
+        part = parts.get(key >> shift)
+        if part is None:
+            parts[key >> shift] = {key & low: c}
+        else:
+            part[key & low] = c
+    y = images[top - 1]
+    e = max(parts)
+    acc, den = _horner(parts[e], images, guards)
+    while e:
+        e -= 1
+        den *= y._den
+        part = parts.get(e)
+        if part is None:
+            acc = _product(acc, y._num, 1, guards)
+            continue
+        pnum, pden = _horner(part, images, guards)
+        g = gcd(den, pden)
+        acc = _product(acc, y._num, pden // g, guards)
+        _add_into(acc, pnum, den // g)
+        den = den // g * pden
+    return acc, den
 
 
 class _TermsView(_Mapping):
@@ -371,27 +456,8 @@ class Polynomial:
             ta, tb = self._num, other._num
             if not ta or not tb:
                 return _make({}, 1, nvars)
-            if len(ta) < len(tb):
-                ta, tb = tb, ta
-            out: dict[int, int] = {}
-            get = out.get
-            b_items = list(tb.items())
-            for ka, ca in ta.items():
-                for kb, cb in b_items:
-                    key = ka + kb
-                    prev = get(key)
-                    if prev is None:
-                        out[key] = ca * cb
-                    else:
-                        s = prev + ca * cb
-                        if s:
-                            out[key] = s
-                        else:
-                            del out[key]
-            if reduce(or_, out, 0) & _guards(nvars):
-                raise ValueError(
-                    f"product has an exponent not below 2**{EXPONENT_BITS}")
-            return _normalised(out, self._den * other._den, nvars)
+            return _normalised(_product(ta, tb, 1, _guards(nvars)),
+                               self._den * other._den, nvars)
         if isinstance(other, (int, Fraction)):
             return self._scaled(as_scalar(other))
         return NotImplemented
@@ -444,46 +510,23 @@ class Polynomial:
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """Replace x_i by images[i-1] and expand to canonical form.
 
-        images must supply at least nvars polynomials.
+        images must supply at least nvars polynomials; they may be any
+        polynomials.  The numerators are evaluated by the multivariate
+        Horner scheme (see `_horner`) over a running common denominator,
+        and the result is divided by this polynomial's denominator and
+        normalised once, at the end.  An exponent reaching 2**EXPONENT_BITS
+        at any Horner step raises ValueError.
         """
         if len(images) < self.nvars:
             raise ValueError(
                 f"substitute needs {self.nvars} images, got {len(images)}")
         images = [im if isinstance(im, Polynomial) else Polynomial.constant(im)
                   for im in images]
-        return self._substitute(images, {})
-
-    def _substitute(self, images: list["Polynomial"], pow_cache: dict) -> "Polynomial":
-        # pow_cache maps (image position, exponent) -> Polynomial and may
-        # be shared across calls substituting the same tuple.
         width = max((im.nvars for im in images), default=0)
-        den = self._den
-        total = Polynomial.zero(width)
-        for key, c in self._num.items():
-            term = None
-            i = 0
-            while key:
-                e = key & _MASK
-                if e:
-                    power = pow_cache.get((i, e))
-                    if power is None:
-                        power = images[i]
-                        for k in range(2, e + 1):
-                            nxt = pow_cache.get((i, k))
-                            if nxt is None:
-                                nxt = power * images[i]
-                                pow_cache[(i, k)] = nxt
-                            power = nxt
-                        pow_cache[(i, e)] = power
-                    term = power if term is None else term * power
-                key >>= _SHIFT
-                i += 1
-            c = _scalar(c, den)
-            if term is None:
-                total = total + Polynomial.constant(c, width)
-            else:
-                total = total + term * c
-        return total
+        if not self._num:
+            return _make({}, 1, width)
+        num, den = _horner(self._num, images, _guards(width))
+        return _normalised(num, den * self._den, width)
 
     # -- canonical text -------------------------------------------------
 

@@ -56,6 +56,28 @@ def to_sympy(sympy, p: Polynomial, gens):
                        for key, c in p.terms.items()))
 
 
+def reference_substitute(p: Polynomial, images) -> Polynomial:
+    """p at x_i = images[i-1], one term at a time: each monomial is a
+    product of cached powers of the images, scaled and added to the running
+    total.  A test oracle for the Horner evaluation in `substitute`."""
+    powers = {}
+
+    def power(i: int, e: int) -> Polynomial:
+        if (i, e) not in powers:
+            powers[(i, e)] = images[i] if e == 1 else power(i, e - 1) * images[i]
+        return powers[(i, e)]
+
+    width = max(im.nvars for im in images)
+    total = Polynomial.zero(width)
+    for key, c in p.terms.items():
+        term = Polynomial.constant(c, width)
+        for i, e in enumerate(key):
+            if e:
+                term = term * power(i, e)
+        total = total + term
+    return total
+
+
 def _independent(derivations):
     """A maximal linearly independent subset, by exact sparse elimination:
     each kept vector is reduced by the earlier ones, in order, and scaled

@@ -20,7 +20,8 @@ from triaut.errors import TriangularityError
 from triaut.harness import degree_fuzz
 from triaut.polynomials import Polynomial
 
-from helpers import to_sympy, wide_rational_polynomial
+from helpers import (random_polynomial, random_scalar, reference_substitute, to_sympy,
+                     wide_rational_polynomial)
 
 x1 = Polynomial.variable(1, 3)
 x2 = Polynomial.variable(2, 3)
@@ -129,6 +130,41 @@ def test_compose_coordinates_equal_full_substitution():
         images = inner.coordinates()
         for j in range(1, n + 1):
             assert result.coordinate(j) == outer.coordinate(j).substitute(images)
+
+
+def _fraction_map_4_3(rng: Random):
+    """A (4, 3) map whose lambdas and tail coefficients include fractions."""
+    lambdas = [random_scalar(rng) or 1 for _ in range(4)]
+    tails = [random_polynomial(rng, i, 3, density=0.4).promoted(4) for i in range(4)]
+    return make(4, lambdas, tails)
+
+
+def test_compose_and_invert_match_term_by_term_substitution():
+    """Words of (4, 3) maps and inverses, every step against the oracle."""
+    rng = Random(215)
+    for _ in range(60):
+        pool = [_fraction_map_4_3(rng) for _ in range(3)]
+        inverses = {}
+        result = identity(4)
+        for _ in range(rng.randint(1, 8)):
+            idx = rng.randrange(len(pool))
+            letter = pool[idx]
+            if rng.random() < 0.5:
+                if idx not in inverses:
+                    # back-substitution, each tail evaluated by the oracle
+                    phi = pool[idx]
+                    solved = []
+                    for i in range(4):
+                        images = solved + [Polynomial.zero(4)] * (4 - i)
+                        tail = -reference_substitute(phi.tails[i], images) / phi.lambdas[i]
+                        solved.append(Polynomial.variable(i + 1, 4) / phi.lambdas[i] + tail)
+                    inverses[idx] = invert(phi)
+                    assert inverses[idx].coordinates() == solved
+                letter = inverses[idx]
+            images = result.coordinates()
+            result = compose(letter, result)
+            assert result.coordinates() == [reference_substitute(f, images)
+                                            for f in letter.coordinates()]
 
 
 def test_group_laws_on_random_triples():

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from triaut import cli
 from triaut.cli import run
 
 TOWER_MAP = "n=3\nx1 -> x1\nx2 -> x2 + x1^2\nx3 -> x3 + x2^2\n"
@@ -12,11 +13,10 @@ HEISENBERG = "n=2\ndx1 <- 1\ndx2 <- 0\n\nn=2\ndx1 <- 0\ndx2 <- x1\n"
 SHEAR_FLOW = "n=2\ndx1 <- 0\ndx2 <- x1\n"
 
 
-def invoke(argv, stdin_text=None, monkeypatch=None):
+def invoke(argv, stdin_text=None):
     out, err = io.StringIO(), io.StringIO()
-    if stdin_text is not None:
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
-    code = run(argv, stdout=out, stderr=err)
+    stdin = None if stdin_text is None else io.StringIO(stdin_text)
+    code = run(argv, stdout=out, stderr=err, stdin=stdin)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -62,11 +62,21 @@ def test_compose_with_identity(tmp_path, phi_file):
     assert out == TOWER_MAP
 
 
-def test_invert_reads_stdin(monkeypatch):
-    code, out, _ = invoke(["invert", "-"], stdin_text="n=2\nx1 -> x1\nx2 -> x2 + x1^2\n",
-                          monkeypatch=monkeypatch)
+def test_invert_reads_stdin():
+    code, out, _ = invoke(["invert", "-"], stdin_text="n=2\nx1 -> x1\nx2 -> x2 + x1^2\n")
     assert code == 0
     assert out == "n=2\nx1 -> x1\nx2 -> x2 - x1^2\n"
+
+
+def test_each_call_reads_its_own_stdin_with_one_parser(monkeypatch):
+    monkeypatch.setattr("sys.stdin", None)  # the process stdin must not be touched
+    cli._parser()
+    built = cli._parser.cache_info().misses
+    for k, expected in ((1, "x2 + x1^2"), (3, "x2 + 3*x1^2")):
+        code, out, _ = invoke(["power", "-", str(k)], stdin_text=TOWER_MAP)
+        assert code == 0
+        assert f"x2 -> {expected}\n" in out
+    assert cli._parser.cache_info().misses == built
 
 
 def test_commutator_of_map_with_itself_is_identity(phi_file):

@@ -14,7 +14,7 @@ from triaut.derivations import (
 from triaut.errors import TriangularityError
 from triaut.polynomials import Polynomial
 
-from helpers import random_polynomial
+from helpers import random_polynomial, to_sympy
 
 x1 = Polynomial.variable(1, 2)
 x2 = Polynomial.variable(2, 2)
@@ -234,3 +234,60 @@ def test_exponential_acts_by_the_truncated_series():
             factorial *= k
             s_power *= s
         assert via_substitution == series
+
+
+# -- differential tests against sympy -------------------------------------------
+
+def _fraction_derivation(rng: Random, n: int):
+    """Seeded triangular derivation whose coefficients include fractions."""
+    degree = rng.randint(1, 2)
+    return make_derivation(
+        n, [random_polynomial(rng, i, degree, density=0.4).promoted(n) for i in range(n)])
+
+
+def _vector_field(sympy, d, gens):
+    return [to_sympy(sympy, g, gens) for g in d.coeffs]
+
+
+def test_bracket_matches_sympy_vector_field_commutator():
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols("x1:5")
+    rng = Random(310)
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        d1, d2 = _fraction_derivation(rng, n), _fraction_derivation(rng, n)
+        v1, v2 = _vector_field(sympy, d1, gens), _vector_field(sympy, d2, gens)
+        for ours, f1, f2 in zip(_vector_field(sympy, bracket(d1, d2), gens), v1, v2):
+            expected = sum(a * sympy.diff(f2, g) - b * sympy.diff(f1, g)
+                           for a, b, g in zip(v1, v2, gens))
+            assert sympy.expand(ours - expected) == 0
+
+
+def test_exponential_matches_sympy_flow_series():
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols("x1:5")
+    s = sympy.Symbol("s")
+    rng = Random(311)
+    for _ in range(20):
+        n = rng.randint(1, 4)
+        d = _fraction_derivation(rng, n)
+        field = _vector_field(sympy, d, gens)
+        flow = []
+        for g in gens[:n]:
+            # sum_k s^k/k! L^k(x_i) for the vector field L, until L^k(x_i) = 0
+            series, term, k = 0, g, 0
+            while term != 0:
+                assert k <= 64, "the vector field is not locally nilpotent"
+                series += s ** k / sympy.factorial(k) * term
+                term = sympy.expand(sum(f * sympy.diff(term, x) for f, x in zip(field, gens)))
+                k += 1
+            flow.append(sympy.expand(series))
+        # the series is the flow of the field: d/ds phi_s = L o phi_s
+        at_flow = dict(zip(gens, flow))
+        for phi_i, f in zip(flow, field):
+            assert sympy.expand(sympy.diff(phi_i, s) - f.subs(at_flow, simultaneous=True)) == 0
+        for _ in range(2):
+            t = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            at_t = {s: sympy.Rational(t.numerator, t.denominator)}
+            for ours, phi_i in zip(exponential(d, t).coordinates(), flow):
+                assert sympy.expand(to_sympy(sympy, ours, gens) - phi_i.subs(at_t)) == 0

@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from triaut.automorphisms import compose_all, invert, random_triangular
+from triaut.automorphisms import compose, compose_all, invert, make, random_triangular
 from triaut.polynomials import (
     EXPONENT_BITS,
     MINUS_INFINITY,
@@ -240,6 +240,17 @@ def test_exponent_overflow_raises_instead_of_spilling():
         (x1 + Polynomial({(0, top): 3})) * (x2 ** 2 - 1)
     with pytest.raises(ValueError):
         x1 ** (2 ** EXPONENT_BITS)
+
+
+def test_substitution_overflow_raises_instead_of_spilling():
+    # x1^150000 would carry into x2's field (as x1^18928*x2) unless every
+    # step of the evaluation is checked, not just its result.
+    with pytest.raises(ValueError):
+        (x2 ** 5).substitute([x1, x1 ** 30000])
+    outer = make(3, (1, 1, 1), (0, 0, Polynomial.monomial(1, (0, 5), 3)))
+    inner = make(3, (1, 1, 1), (0, Polynomial.monomial(1, (30000,), 3), 0))
+    with pytest.raises(ValueError):
+        compose(outer, inner)
 
 
 # -- the terms view --------------------------------------------------------------
