@@ -239,33 +239,35 @@ def compose_all(factors: Sequence[TriangularAutomorphism], n: int) -> Triangular
     return result
 
 
-def random_triangular(n: int, m: int, seed=None, coeff_bound: int = 2,
-                      density: float = 0.4, rng: Random | None = None) -> TriangularAutomorphism:
+# The sampled lambdas and tail coefficients: the nonzero integers in [-2, 2].
+_COEFFICIENTS = (-2, -1, 1, 2)
+
+
+def random_triangular(n: int, m: int, seed=None, density: float = 0.4,
+                      rng: Random | None = None) -> TriangularAutomorphism:
     """Random triangular map of degree <= m, deterministic for a fixed seed.
 
     The lambdas are drawn first, then the tails as in `_random_tails`; all
-    are uniform nonzero integers in [-coeff_bound, coeff_bound].
+    are uniform over `_COEFFICIENTS`.
     """
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
     if rng is None:
         rng = Random(seed)
-    nonzero = [c for c in range(-coeff_bound, coeff_bound + 1) if c]
-    lambdas = [rng.choice(nonzero) for _ in range(n)]
-    return TriangularAutomorphism(n, lambdas, _random_tails(n, m, rng, nonzero, density))
+    lambdas = [rng.choice(_COEFFICIENTS) for _ in range(n)]
+    return TriangularAutomorphism(n, lambdas, _random_tails(n, m, rng, density))
 
 
-def _random_tails(n: int, max_degree: int, rng: Random, nonzero: list[int],
-                  density: float) -> list[Polynomial]:
+def _random_tails(n: int, max_degree: int, rng: Random, density: float) -> list[Polynomial]:
     """Triangular tails h_1..h_n, drawn in order: each candidate monomial in
     x_1..x_{i-1} of degree <= max_degree is kept with probability `density`,
-    with a coefficient drawn from `nonzero`."""
+    with a coefficient drawn from `_COEFFICIENTS`."""
     tails = []
     for i in range(1, n + 1):
         terms: dict[Monomial, Scalar] = {}
         for key in monomials_up_to_degree(i - 1, max_degree):
             if rng.random() < density:
-                terms[key] = rng.choice(nonzero)
+                terms[key] = rng.choice(_COEFFICIENTS)
         tails.append(Polynomial(terms, n))
     return tails
 

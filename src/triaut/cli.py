@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import asdict
 from fractions import Fraction
 from functools import cache
 from gettext import gettext
@@ -224,7 +225,7 @@ def _render(result) -> tuple[object, str]:
         return {"derivation": text}, text
     if isinstance(result, tuple):
         return result
-    return result.to_dict(), result.summary() + "\n"
+    return asdict(result), result.summary() + "\n"
 
 
 def _emit_json(command: str | None, inputs: list, result, diagnostics: list[str],

@@ -179,8 +179,7 @@ def exponential(d: TriangularDerivation, s) -> TriangularAutomorphism:
     return TriangularAutomorphism(n, (1,) * n, tails)
 
 
-def random_triangular_derivation(n: int, max_degree: int, seed=None,
-                                 coeff_bound: int = 2, density: float = 0.4,
+def random_triangular_derivation(n: int, max_degree: int, seed=None, density: float = 0.4,
                                  rng: Random | None = None) -> TriangularDerivation:
     """Random triangular derivation with coefficient degrees <= max_degree.
 
@@ -191,5 +190,4 @@ def random_triangular_derivation(n: int, max_degree: int, seed=None,
         raise ValueError("need n >= 1 and max_degree >= 0")
     if rng is None:
         rng = Random(seed)
-    nonzero = [c for c in range(-coeff_bound, coeff_bound + 1) if c]
-    return TriangularDerivation(n, _random_tails(n, max_degree, rng, nonzero, density))
+    return TriangularDerivation(n, _random_tails(n, max_degree, rng, density))

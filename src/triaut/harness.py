@@ -30,8 +30,9 @@ from .derivations import exponential
 from .errors import PropertyViolation
 from .polynomials import Polynomial, as_scalar
 
-_DEFAULT_COEFF_BOUND = 2
-_DEFAULT_DENSITY = 0.25
+_FUZZ_DENSITY = 0.25      # degree_fuzz's pool maps
+_DEPTH_DEGREE = 2         # derived_depth_test's commutator leaves
+_DEPTH_DENSITY = 0.4
 _POOL_SIZE = 3
 _POOL_REFRESH = 25
 
@@ -53,18 +54,6 @@ class FuzzReport:
     witness_word: tuple[str, ...]
     witness_generators: dict[str, str]
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "trials": self.trials,
-            "max_word_len": self.max_word_len,
-            "bound": self.bound,
-            "max_degree": self.max_degree,
-            "witness_word": list(self.witness_word),
-            "witness_generators": dict(sorted(self.witness_generators.items())),
-        }
-
     def summary(self) -> str:
         word = " ".join(self.witness_word) or "(empty)"
         return (f"n={self.n} m={self.m}: {self.trials} trials, word length <= "
@@ -72,9 +61,7 @@ class FuzzReport:
                 f"{self.bound}, attained by [{word}]")
 
 
-def degree_fuzz(n: int, m: int, max_word_len: int, trials: int, seed: int,
-                coeff_bound: int = _DEFAULT_COEFF_BOUND,
-                density: float = _DEFAULT_DENSITY) -> FuzzReport:
+def degree_fuzz(n: int, m: int, max_word_len: int, trials: int, seed: int) -> FuzzReport:
     """Random products of degree-<=m maps and inverses never exceed m^(n-1).
 
     The generator pool is refreshed periodically and always includes the
@@ -105,8 +92,7 @@ def degree_fuzz(n: int, m: int, max_word_len: int, trials: int, seed: int,
     for trial in range(trials):
         if trial % _POOL_REFRESH == 0:
             pool = [ladder] + [
-                random_triangular(n, m, rng=rng, coeff_bound=coeff_bound,
-                                  density=density)
+                random_triangular(n, m, rng=rng, density=_FUZZ_DENSITY)
                 for _ in range(_POOL_SIZE)]
             inverses = [None] * len(pool)
             labels = ["s"] + [f"g{k}" for k in range(1, _POOL_SIZE + 1)]
@@ -128,7 +114,7 @@ def degree_fuzz(n: int, m: int, max_word_len: int, trials: int, seed: int,
         if degree > max_degree:
             max_degree = degree
             best_word = _letter_names(letters, labels)
-            best_table = {labels[i]: pool[i].to_text() for i, _ in letters}
+            best_table = dict(sorted({labels[i]: pool[i].to_text() for i, _ in letters}.items()))
     return FuzzReport(n=n, m=m, trials=trials, max_word_len=max_word_len,
                       bound=bound, max_degree=max_degree,
                       witness_word=best_word, witness_generators=best_table)
@@ -145,16 +131,6 @@ class DepthReport:
     identities: int            # samples that collapsed to the identity
     max_degree: int
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "depth": self.depth,
-            "trials": self.trials,
-            "prefix_fixed": self.prefix_fixed,
-            "identities": self.identities,
-            "max_degree": self.max_degree,
-        }
-
     def summary(self) -> str:
         prefix = min(self.depth - 1, self.n)
         fixed = f"all fix x1..x{prefix}" if prefix else "unitriangular as required"
@@ -163,13 +139,12 @@ class DepthReport:
                 f"{self.identities} were the identity")
 
 
-def derived_depth_test(n: int, depth: int, trials: int, seed: int,
-                       m: int = 2, coeff_bound: int = _DEFAULT_COEFF_BOUND,
-                       density: float = 0.4) -> DepthReport:
+def derived_depth_test(n: int, depth: int, trials: int, seed: int) -> DepthReport:
     """Depth-d iterated commutators are unitriangular and fix x1..x_{d-1}.
 
     At depth n+1 every sample must collapse to the identity.  Each trial
-    draws 2^depth fresh random triangular maps for the commutator tree.
+    draws 2^depth fresh random triangular maps of degree <= 2 for the
+    commutator tree.
     """
     if depth < 1 or depth > n + 1:
         raise ValueError(f"depth must lie in 1..{n + 1}")
@@ -179,8 +154,7 @@ def derived_depth_test(n: int, depth: int, trials: int, seed: int,
 
     def nested(d: int) -> TriangularAutomorphism:
         if d == 0:
-            return random_triangular(n, m, rng=rng, coeff_bound=coeff_bound,
-                                     density=density)
+            return random_triangular(n, _DEPTH_DEGREE, rng=rng, density=_DEPTH_DENSITY)
         return commutator(nested(d - 1), nested(d - 1))
 
     prefix = min(depth - 1, n)
@@ -216,15 +190,6 @@ class UnipotentReport:
     trials: int
     max_word_len: int
     max_degree: int
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "num_generators": self.num_generators,
-            "trials": self.trials,
-            "max_word_len": self.max_word_len,
-            "max_degree": self.max_degree,
-        }
 
     def summary(self) -> str:
         return (f"n={self.n}: {self.trials} products of <= {self.max_word_len} "
@@ -283,16 +248,6 @@ class CounterexampleReport:
     translation_steps: list[int]            # the distinct k values found
     counts_by_even_length: list[tuple[int, int]]
     words_evaluated: int
-
-    def to_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "max_word_len": self.max_word_len,
-            "translation_steps": list(self.translation_steps),
-            "counts_by_even_length": [list(pair) for pair in self.counts_by_even_length],
-            "words_evaluated": self.words_evaluated,
-        }
 
     def summary(self) -> str:
         counts = ", ".join(f"len<={l}: {c}" for l, c in self.counts_by_even_length)

@@ -1,11 +1,14 @@
 """Exact linear algebra on derivation coefficients, bracket closure, and
 the structure constants of the closed algebra.
 
-Derivations are vectors over a *frame*: an ordered list of (coordinate
-index, monomial) pairs covering every coefficient monomial seen so far.
-The frame grows lazily as bracket results introduce new monomials; no
-a-priori degree bound is assumed.  All elimination is fraction-exact
-Gaussian elimination, so ranks and dimensions are never approximate.
+A derivation is a sparse vector {(coordinate index, exponents): coefficient}.
+A row space keeps fully reduced rows, each a dict of its nonzero entries,
+and orders keys by first sight: every vector offered to it registers its
+keys, dependent or not, so new monomials from bracket results extend the
+order lazily and no a-priori degree bound is assumed.  A row's pivot is
+its earliest key in that order, and the rows are kept sorted by pivot.
+All elimination is fraction-exact Gaussian elimination, so ranks and
+dimensions are never approximate.
 
 `lie_closure` saturates a generator set under the bracket.  For
 triangular generators the loop provably terminates (the generated Lie
@@ -15,7 +18,7 @@ derived from the generators, so hitting that cap is a property violation.
 Everything after the closure is rational linear algebra on the structure
 constants, [e_i, e_j] = sum_k c_ij^k e_k (de Graaf, *Lie Algebras: Theory
 and Algorithms*, 2000, ch. 1).  The basis e_k is the closure's reduced
-rows: e_k is 1 at its pivot column p_k and 0 at every other pivot, so a
+rows: e_k is 1 at its pivot key p_k and 0 at every other pivot, so a
 vector v of the span is sum_k v[p_k] e_k and c_ij^k is read off
 [e_i, e_j] at p_k; a bracket that leaves a remainder shows the basis is
 not bracket-closed.  The dim*(dim-1)/2 brackets are paid once per basis,
@@ -25,10 +28,11 @@ Q^dim, bracketed bilinearly, and no polynomial is bracketed again.
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .derivations import TriangularDerivation, _weights, bracket
 from .errors import CapExceededError, PropertyViolation
@@ -37,78 +41,64 @@ from .polynomials import Polynomial, Scalar, as_scalar
 Coordinates = dict[int, Scalar]  # {basis index: nonzero coordinate}
 
 
-def _derivation_entries(d: TriangularDerivation):
-    for i, g in enumerate(d.coeffs, start=1):
-        for key, coeff in g.terms.items():
-            yield (i, key), coeff
+def _derivation_entries(d: TriangularDerivation) -> dict:
+    """{(coordinate index, exponents): coefficient} over d's nonzero terms."""
+    return {(i, key): coeff
+            for i, g in enumerate(d.coeffs, start=1) for key, coeff in g.terms.items()}
 
 
 class _RowSpace:
-    """Growable frame plus a row-reduced basis of vectors over it."""
+    """Fully reduced sparse rows over keys in first-seen order."""
 
     def __init__(self):
-        self.frame: list = []    # keys: (coordinate index, exponents) or basis indices
-        self.index: dict = {}
-        self.rows: list[list[Scalar]] = []   # reduced, sorted by pivot column
-        self.pivots: list[int] = []
+        # keys: (coordinate index, exponents) or basis indices
+        self.order: dict = {}   # key -> first-seen position
+        self.rows: list[dict] = []   # {key: nonzero value}, sorted by pivot position
+        self.pivots: list = []   # each row's pivot: its earliest key in `order`
 
     @property
     def dimension(self) -> int:
         return len(self.rows)
 
-    def vector(self, entries: Iterable, grow: bool = True) -> list[Scalar] | None:
-        """The dense vector of (key, value) entries over the frame.  A key
-        outside the frame gets a new column if `grow`; otherwise the vector
-        lies outside the span and the result is None."""
-        vec: list[Scalar] = [0] * len(self.frame)
-        for key, value in entries:
-            pos = self.index.get(key)
-            if pos is None:
-                if not grow:
-                    return None
-                pos = self.index[key] = len(self.frame)
-                self.frame.append(key)
-                vec.append(0)
-                for row in self.rows:
-                    row.append(0)
-            vec[pos] = value
-        return vec
-
-    def reduce(self, vec: list[Scalar]) -> list[Scalar]:
-        """A reduced copy of vec: zero exactly when vec lies in the span."""
-        vec = vec[:]
+    def reduce(self, vec: dict) -> dict:
+        """A reduced copy of vec: empty exactly when vec lies in the span."""
+        vec = dict(vec)
         for pivot, row in zip(self.pivots, self.rows):
-            factor = vec[pivot]
+            factor = vec.get(pivot)
             if factor:
-                for j in range(len(vec)):
-                    if row[j]:
-                        vec[j] = vec[j] - factor * row[j]
+                _subtract(vec, factor, row)
         return vec
 
-    def add(self, entries: Iterable) -> bool:
-        """Insert the vector of (key, value) entries, growing the frame, if
-        independent; True iff the rank grew."""
-        vec = self.reduce(self.vector(entries))
-        pivot = next((j for j, v in enumerate(vec) if v), None)
-        if pivot is None:
+    def add(self, vec: dict) -> bool:
+        """Register vec's keys, then insert vec if independent; True iff
+        the rank grew."""
+        order = self.order
+        for key in vec:
+            order.setdefault(key, len(order))
+        vec = self.reduce(vec)
+        if not vec:
             return False
+        pivot = min(vec, key=order.__getitem__)
         inv = Fraction(1, 1) / Fraction(vec[pivot])
-        vec = [as_scalar(Fraction(v) * inv) if v else 0 for v in vec]
+        vec = {key: as_scalar(Fraction(v) * inv) for key, v in vec.items()}
         for row in self.rows:
-            factor = row[pivot]
+            factor = row.get(pivot)
             if factor:
-                for j in range(len(vec)):
-                    if vec[j]:
-                        row[j] = row[j] - factor * vec[j]
-        at = next((k for k, p in enumerate(self.pivots) if p > pivot), len(self.pivots))
+                _subtract(row, factor, vec)
+        at = bisect(self.pivots, order[pivot], key=order.__getitem__)
         self.rows.insert(at, vec)
         self.pivots.insert(at, pivot)
         return True
 
-    def basis(self) -> list[dict]:
-        """Each reduced row as {frame key: nonzero value}, in row order."""
-        return [{self.frame[pos]: value for pos, value in enumerate(row) if value}
-                for row in self.rows]
+
+def _subtract(vec: dict, factor: Scalar, row: dict) -> None:
+    """vec -= factor * row in place, dropping the entries that cancel."""
+    for key, value in row.items():
+        v = vec.get(key, 0) - factor * value
+        if v:
+            vec[key] = v
+        else:
+            del vec[key]
 
 
 class LieBasis:
@@ -122,7 +112,7 @@ class LieBasis:
     def __init__(self, n: int, space: _RowSpace):
         self.n = n
         self.elements = []
-        for row in space.basis():
+        for row in space.rows:
             coeff_terms: list[dict] = [dict() for _ in range(n)]
             for (i, key), value in row.items():
                 coeff_terms[i - 1][key] = value
@@ -135,8 +125,9 @@ class LieBasis:
 
     def contains(self, d: TriangularDerivation) -> bool:
         """True iff d lies in the rational span of the basis."""
-        vec = self._space.vector(_derivation_entries(d), grow=False)
-        return vec is not None and not any(self._space.reduce(vec))
+        if d.n != self.n:
+            raise ValueError(f"dimension mismatch: {d.n} vs {self.n}")
+        return not self._space.reduce(_derivation_entries(d))
 
     @cached_property
     def structure_constants(self) -> dict[tuple[int, int], Coordinates]:
@@ -146,12 +137,11 @@ class LieBasis:
         space = self._space
         constants: dict[tuple[int, int], Coordinates] = {}
         for i, j in combinations(range(self.dimension), 2):
-            vec = space.vector(_derivation_entries(bracket(self.elements[i], self.elements[j])),
-                               grow=False)
-            if vec is None or any(space.reduce(vec)):
+            vec = _derivation_entries(bracket(self.elements[i], self.elements[j]))
+            if space.reduce(vec):
                 raise PropertyViolation(
                     f"[e{i + 1}, e{j + 1}] lies outside the span; the basis is not bracket-closed")
-            coords = {k: vec[p] for k, p in enumerate(space.pivots) if vec[p]}
+            coords = {k: vec[p] for k, p in enumerate(space.pivots) if p in vec}
             if coords:
                 constants[i, j] = coords
                 constants[j, i] = {k: -v for k, v in coords.items()}
@@ -223,7 +213,7 @@ def _series(basis: LieBasis, left_full: bool) -> list[int]:
         space = _RowSpace()
         for a, b in product(full, current) if left_full else combinations(current, 2):
             if c := _coordinate_bracket(a, b, constants):
-                space.add(c.items())
+                space.add(c)
         dim = space.dimension
         if dim >= dims[-1]:
             name = "lower central" if left_full else "derived"
@@ -231,7 +221,7 @@ def _series(basis: LieBasis, left_full: bool) -> list[int]:
                 f"{name} series stalled at dimension {dim}; "
                 "the closed algebra is not nilpotent")
         dims.append(dim)
-        current = space.basis()
+        current = space.rows
     return dims
 
 

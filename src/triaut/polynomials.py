@@ -69,18 +69,16 @@ MINUS_INFINITY = float("-inf")
 
 
 def as_scalar(value) -> Scalar:
-    """Coerce to an exact rational; ints stay ints, floats and bools are rejected."""
+    """An exact rational: ints stay ints, integral Fractions become ints.
+    Only int (not bool) and Fraction are accepted; anything else, float,
+    str and Decimal included, raises TypeError."""
     if type(value) is int:
         return value
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
-    if isinstance(value, (bool, float)):
-        raise TypeError(
-            f"coefficients must be exact rationals, not {type(value).__name__}")
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return int(value)
-    frac = Fraction(value)
-    return frac.numerator if frac.denominator == 1 else frac
+    raise TypeError(f"coefficients must be int or Fraction, not {type(value).__name__}")
 
 
 def scalar_inverse(value: Scalar) -> Scalar:

@@ -240,8 +240,8 @@ def test_structure_constants_rebuild_every_bracket():
 
 
 def test_series_of_a_basis_that_is_not_bracket_closed_raise():
-    # [d/dx1, x1 d/dx2] = d/dx2 has a monomial outside the frame;
-    # [d/dx1, (x1 + 1) d/dx2] = d/dx2 lies in the frame but not the span
+    # [d/dx1, x1 d/dx2] = d/dx2 has a key the span never saw;
+    # [d/dx1, (x1 + 1) d/dx2] = d/dx2 has only seen keys but is not in the span
     for coeff in (x1, x1 + 1):
         basis = span_basis([make_derivation(2, [1, 0]), make_derivation(2, [0, coeff])])
         with pytest.raises(PropertyViolation):
@@ -254,9 +254,11 @@ def test_contains_rejects_vectors_outside_the_frame_or_the_span():
     basis = span_basis([make_derivation(2, [1, 0]), make_derivation(2, [0, x1 + 1])])
     assert basis.contains(make_derivation(2, [2, 2 * x1 + 2]))
     assert basis.contains(make_derivation(2, [0, 0]))
-    assert not basis.contains(make_derivation(2, [0, x1 ** 2]))   # monomial outside the frame
-    assert not basis.contains(make_derivation(2, [0, x1]))        # in the frame, not the span
+    assert not basis.contains(make_derivation(2, [0, x1 ** 2]))   # a key the span never saw
+    assert not basis.contains(make_derivation(2, [0, x1]))        # seen keys, not the span
     assert not basis.contains(make_derivation(2, [1, 1]))
+    with pytest.raises(ValueError):
+        basis.contains(make_derivation(3, [1, 0, 0]))
 
 
 # -- report --------------------------------------------------------------------
@@ -269,3 +271,30 @@ def test_closure_report_shape():
     assert report["derived_series"] == [3, 1, 0]
     assert len(report["basis"]) == 3
     assert all(text.startswith("n=2\n") for text in report["basis"])
+
+
+def test_closure_report_basis_texts_are_pinned():
+    # the reduced rows in pivot order, each normalised at its pivot; any
+    # change to the row reduction's key order or elimination shows here
+    shear = [make_derivation(2, [1, 0]), make_derivation(2, [0, x1 ** 2])]
+    assert closure_report(lie_closure(shear))["basis"] == [
+        "n=2\ndx1 <- 1\ndx2 <- 0\n",
+        "n=2\ndx1 <- 0\ndx2 <- x1^2\n",
+        "n=2\ndx1 <- 0\ndx2 <- x1\n",
+        "n=2\ndx1 <- 0\ndx2 <- 1\n",
+    ]
+    rng = Random(18)
+    gens = [random_triangular_derivation(4, 2, rng=rng, density=0.3) for _ in range(3)]
+    zero = "n=4\ndx1 <- 0\ndx2 <- 0\ndx3 <- 0\n"
+    assert closure_report(lie_closure(gens))["basis"] == [
+        "n=4\ndx1 <- 1\ndx2 <- 1/4 + x1\ndx3 <- -1/2*x1*x2\ndx4 <- x2*x3 - 2/15*x1^3\n",
+        "n=4\ndx1 <- 0\ndx2 <- 0\ndx3 <- 1\ndx4 <- 2/15*x1^3\n",
+        "n=4\ndx1 <- 0\ndx2 <- -1/2\ndx3 <- x2\ndx4 <- x1*x3\n",
+        zero + "dx4 <- x1\n",
+        zero + "dx4 <- x2\n",
+        zero + "dx4 <- x1^2\n",
+        zero + "dx4 <- x1*x2 + 2/15*x1^3\n",
+        "n=4\ndx1 <- 0\ndx2 <- 0\ndx3 <- x1\ndx4 <- -1/15*x1^3\n",
+        zero + "dx4 <- 1\n",
+        zero + "dx4 <- x3 - 2/3*x2^2 + 1/90*x1^3 - 1/3*x1^2*x2\n",
+    ]

@@ -1,9 +1,11 @@
+from decimal import Decimal
 from fractions import Fraction
 from random import Random
 
 import pytest
 
 from triaut.automorphisms import compose, compose_all, invert, make, random_triangular
+from triaut.derivations import exponential, make_derivation
 from triaut.polynomials import (
     EXPONENT_BITS,
     MINUS_INFINITY,
@@ -101,6 +103,16 @@ def test_float_coefficients_rejected():
         Polynomial.constant(0.5)
     with pytest.raises(TypeError):
         x1 * 0.5
+    # nor anything else that Fraction() would parse: strings, Decimals
+    for value in ("1/2", "5", Decimal("0.1")):
+        with pytest.raises(TypeError):
+            as_scalar(value)
+    with pytest.raises(TypeError):
+        make(1, ["2"], ["1/3"])
+    with pytest.raises(TypeError):
+        Polynomial({(1,): "5"})
+    with pytest.raises(TypeError):
+        exponential(make_derivation(2, [1, 0]), "1/2")
 
 
 def test_negative_exponents_rejected():

@@ -1,5 +1,6 @@
 import itertools
 import json
+from dataclasses import asdict
 from fractions import Fraction
 from random import Random
 
@@ -79,7 +80,7 @@ def test_degree_fuzz_is_deterministic_per_seed():
     a = degree_fuzz(2, 2, max_word_len=6, trials=150, seed=42)
     b = degree_fuzz(2, 2, max_word_len=6, trials=150, seed=42)
     assert a == b
-    assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
+    assert json.dumps(asdict(a)) == json.dumps(asdict(b))
 
 
 def test_degree_fuzz_trial_zero_respects_the_word_length():
@@ -129,8 +130,8 @@ def test_depth_one_commutators_are_unitriangular():
     assert report.trials == 20
     # replay the draws: each trial commutes two fresh random maps
     rng = Random(3)
-    samples = [commutator(random_triangular(3, 2, rng=rng, coeff_bound=2, density=0.4),
-                          random_triangular(3, 2, rng=rng, coeff_bound=2, density=0.4))
+    samples = [commutator(random_triangular(3, 2, rng=rng, density=0.4),
+                          random_triangular(3, 2, rng=rng, density=0.4))
                for _ in range(20)]
     assert all(w.is_unitriangular() for w in samples)
     assert report.prefix_fixed == min(longest_fixed_prefix(w) for w in samples)
