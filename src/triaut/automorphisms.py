@@ -32,38 +32,19 @@ from .polynomials import (
 )
 
 
-def _as_tail(value, n: int, position: int) -> Polynomial:
-    if not isinstance(value, Polynomial):
-        value = Polynomial.constant(value, n)
-    mv = value.max_variable()
-    if mv > n:
-        raise TriangularityError(
-            f"tail of coordinate {position} mentions x{mv}, beyond ambient n={n}")
-    return value.promoted(n)
-
-
 class TriangularAutomorphism:
     """A validated triangular tuple; immutable after construction."""
 
     __slots__ = ("n", "lambdas", "tails")
 
     def __init__(self, n: int, lambdas: Sequence, tails: Sequence):
-        if n < 1:
-            raise TriangularityError("ambient dimension must be at least 1")
+        tails = _triangular(n, tails, "tails", "tail of coordinate {}")
         lambdas = tuple(as_scalar(l) for l in lambdas)
         if len(lambdas) != n:
             raise TriangularityError(f"expected {n} scalars, got {len(lambdas)}")
         for i, lam in enumerate(lambdas, start=1):
             if lam == 0:
                 raise TriangularityError(f"lambda_{i} is zero")
-        if len(tails) != n:
-            raise TriangularityError(f"expected {n} tails, got {len(tails)}")
-        tails = tuple(_as_tail(t, n, i + 1) for i, t in enumerate(tails))
-        for i, tail in enumerate(tails, start=1):
-            mv = tail.max_variable()
-            if mv >= i:
-                raise TriangularityError(
-                    f"tail of coordinate {i} mentions x{mv}; only x1..x{i - 1} allowed")
         self.n = n
         self.lambdas = lambdas
         self.tails = tails
@@ -256,6 +237,29 @@ def random_triangular(n: int, m: int, seed=None, density: float = 0.4,
         rng = Random(seed)
     lambdas = [rng.choice(_COEFFICIENTS) for _ in range(n)]
     return TriangularAutomorphism(n, lambdas, _random_tails(n, m, rng, density))
+
+
+def _triangular(n: int, polys: Sequence, noun: str, label: str) -> tuple[Polynomial, ...]:
+    """The triangular tuple (p_1, ..., p_n) in ambient n, scalars taken as
+    constants: p_i may mention x_1..x_{i-1} only.  The ambient n must be
+    an int (not bool), else TypeError; `noun` names the entries in the
+    count error and `label`, formatted with i, names entry i."""
+    if type(n) is not int:
+        raise TypeError(f"ambient dimension must be an int, not {type(n).__name__}")
+    if n < 1:
+        raise TriangularityError("ambient dimension must be at least 1")
+    if len(polys) != n:
+        raise TriangularityError(f"expected {n} {noun}, got {len(polys)}")
+    out = []
+    for i, p in enumerate(polys, start=1):
+        if not isinstance(p, Polynomial):
+            p = Polynomial.constant(p, n)
+        mv = p.max_variable()
+        if mv >= i:
+            raise TriangularityError(
+                f"{label.format(i)} mentions x{mv}; only x1..x{i - 1} allowed")
+        out.append(p.promoted(n))
+    return tuple(out)
 
 
 def _random_tails(n: int, max_degree: int, rng: Random, density: float) -> list[Polynomial]:

@@ -73,7 +73,7 @@ def _factor(args) -> tuple[dict, str]:
 
 
 def _closure(args) -> tuple[dict, str]:
-    report = closure_report(lie_closure(_derivation_files(args, args.derivations), cap=args.cap))
+    report = closure_report(lie_closure(_derivation_files(args, args.derivations)))
     return report, (f"dimension: {report['dimension']}\n"
                     f"nilpotency class: {report['nilpotency_class']}\n"
                     f"lower central series: {report['lower_central_series']}\n"
@@ -84,7 +84,7 @@ def _closure(args) -> tuple[dict, str]:
 class _Command(NamedTuple):
     """One subcommand.  `positionals` are (name, argparse options) pairs;
     the fields after `handler` declare the shared flags (a default for
-    trials/word_len, a switch for seed/cap).  `handler(args)` returns an
+    trials/word_len, a switch for seed).  `handler(args)` returns an
     automorphism, a derivation, a harness report, or a ready
     (json result, human text) pair; `args.stdin` is the stream a `-`
     operand is read from.  Handlers call library functions by
@@ -98,7 +98,6 @@ class _Command(NamedTuple):
     seed: bool = False
     trials: int | None = None
     word_len: int | None = None
-    cap: bool = False
     epilog: str | None = None
 
 
@@ -136,7 +135,7 @@ _COMMANDS = {
         "bracket closure of derivations, with both series",
         (("derivations", {"nargs": "+",
                           "help": "files of derivation blocks separated by blank lines"}),),
-        _closure, cap=True),
+        _closure),
     "fuzz-degree": _Command(
         "random products of T(m) never leave T(m^(n-1))", (("n", _INT), ("m", _INT)),
         lambda a: harness.degree_fuzz(a.n, a.m, a.word_len, a.trials, seed=a.seed),
@@ -195,9 +194,6 @@ def _parser() -> _Parser:
         if command.word_len is not None:
             p.add_argument("--word-len", type=int, default=command.word_len,
                            help=f"maximum word length (default {command.word_len})")
-        if command.cap:
-            p.add_argument("--cap", type=int, default=None,
-                           help="round ceiling (default: the bound derived from the generators)")
     return parser
 
 

@@ -14,8 +14,8 @@ from fractions import Fraction
 from random import Random
 from typing import Sequence
 
-from .automorphisms import TriangularAutomorphism, _random_tails
-from .errors import CapExceededError, TriangularityError
+from .automorphisms import TriangularAutomorphism, _random_tails, _triangular
+from .errors import CapExceededError
 from .polynomials import Polynomial, as_scalar
 
 class TriangularDerivation:
@@ -24,21 +24,8 @@ class TriangularDerivation:
     __slots__ = ("n", "coeffs")
 
     def __init__(self, n: int, coeffs: Sequence):
-        if n < 1:
-            raise TriangularityError("ambient dimension must be at least 1")
-        if len(coeffs) != n:
-            raise TriangularityError(f"expected {n} coefficients, got {len(coeffs)}")
-        prepared = []
-        for i, g in enumerate(coeffs, start=1):
-            if not isinstance(g, Polynomial):
-                g = Polynomial.constant(g, n)
-            mv = g.max_variable()
-            if mv >= i:
-                raise TriangularityError(
-                    f"coefficient of d/dx{i} mentions x{mv}; only x1..x{i - 1} allowed")
-            prepared.append(g.promoted(n))
+        self.coeffs = _triangular(n, coeffs, "coefficients", "coefficient of d/dx{}")
         self.n = n
-        self.coeffs = tuple(prepared)
 
     def apply(self, p: Polynomial) -> Polynomial:
         """D(p) = sum_i g_i * dp/dx_i."""

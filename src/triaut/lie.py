@@ -151,15 +151,15 @@ class LieBasis:
         return f"LieBasis(n={self.n}, dimension={self.dimension})"
 
 
-def lie_closure(generators: Sequence[TriangularDerivation], cap: int | None = None) -> LieBasis:
+def lie_closure(generators: Sequence[TriangularDerivation]) -> LieBasis:
     """Smallest bracket-closed rational subspace containing the generators.
 
     Worklist saturation: each round brackets (new, old) and (new, new)
     pairs and inserts the independent results.  Rounds are capped by
-    `cap`, by default max_i w_i over the generators' weights (see
-    `derivations._weights`): a bracket of length L lowers weighted degree
-    by at least L, a nonzero derivation by at most max_i w_i, and round r
-    only adds brackets of length >= r + 1.  Valid input never exceeds it.
+    max_i w_i over the generators' weights (see `derivations._weights`):
+    a bracket of length L lowers weighted degree by at least L, a nonzero
+    derivation by at most max_i w_i, and round r only adds brackets of
+    length >= r + 1.  Valid input never exceeds it.
     """
     generators = list(generators)
     if not generators:
@@ -168,8 +168,7 @@ def lie_closure(generators: Sequence[TriangularDerivation], cap: int | None = No
     for d in generators:
         if d.n != n:
             raise ValueError(f"dimension mismatch: {d.n} vs {n}")
-    if cap is None:
-        cap = max(_weights(generators, n))
+    cap = max(_weights(generators, n))
     space = _RowSpace()
     new = [d for d in generators if space.add(_derivation_entries(d))]
     old: list[TriangularDerivation] = []

@@ -168,66 +168,61 @@ def parse_polynomial(text: str, line_offset: int = 0) -> Polynomial:
 
 
 _HEADER_RE = re.compile(r"^n\s*=\s*(\d+)$")
-_AUT_LINE_RE = re.compile(r"^x(\d+)\s*->\s*(.*)$")
-_DER_LINE_RE = re.compile(r"^dx(\d+)\s*<-\s*(.*)$")
+
+# The two file formats as (line prefix, arrow, what a line gives, line
+# pattern): "x<i> -> <poly>" coordinates and "dx<i> <- <poly>" coefficients.
+_AUTOMORPHISM_FILE = ("x", "->", "coordinate", re.compile(r"^x(\d+)\s*->\s*(.*)$"))
+_DERIVATION_FILE = ("dx", "<-", "coefficient", re.compile(r"^dx(\d+)\s*<-\s*(.*)$"))
 
 
-def _mapping_lines(text: str, header: str):
-    lines = [(num, line) for num, line in enumerate(text.splitlines(), start=1)
+def _coordinate_file(text: str, file_format) -> tuple[int, list[Polynomial]]:
+    """(n, [polynomial of line i for i = 1..n]) from the header "n=<int>"
+    and the n lines that follow it in order; blank lines are skipped."""
+    prefix, arrow, kind, line_re = file_format
+    lines = [(num, line.strip()) for num, line in enumerate(text.splitlines(), start=1)
              if line.strip()]
     if not lines:
         raise ParseError("empty input; expected a header line 'n=<int>'")
     num, first = lines[0]
-    match = _HEADER_RE.match(first.strip())
+    match = _HEADER_RE.match(first)
     if match is None:
-        raise ParseError(f"expected header 'n=<int>', found {first.strip()!r}", num, 1)
+        raise ParseError(f"expected header 'n=<int>', found {first!r}", num, 1)
     n = int(match.group(1))
     if n < 1:
         raise ParseError("dimension must be at least 1", num, 1)
     if len(lines) - 1 != n:
-        raise ParseError(
-            f"expected {n} {header} lines after the header, found {len(lines) - 1}")
-    return n, lines[1:]
+        raise ParseError(f"expected {n} '{prefix}<i> {arrow} <polynomial>' lines "
+                         f"after the header, found {len(lines) - 1}")
+    polys = []
+    for i, (num, line) in enumerate(lines[1:], start=1):
+        match = line_re.match(line)
+        if match is None:
+            raise ParseError(f"expected '{prefix}{i} {arrow} <polynomial>', found {line!r}",
+                             num, 1)
+        index = int(match.group(1))
+        if index != i:
+            raise ParseError(f"{kind} lines must appear in order; expected "
+                             f"{prefix}{i}, found {prefix}{index}", num, 1)
+        polys.append(parse_polynomial(match.group(2), line_offset=num - 1))
+    return n, polys
 
 
 def parse_automorphism(text: str) -> TriangularAutomorphism:
     """Parse the automorphism file format and validate triangularity."""
-    n, lines = _mapping_lines(text, "'x<i> -> <polynomial>'")
+    n, coordinates = _coordinate_file(text, _AUTOMORPHISM_FILE)
     lambdas = []
     tails = []
-    for expected_index, (num, line) in enumerate(lines, start=1):
-        match = _AUT_LINE_RE.match(line.strip())
-        if match is None:
-            raise ParseError(f"expected 'x{expected_index} -> <polynomial>', "
-                             f"found {line.strip()!r}", num, 1)
-        index = int(match.group(1))
-        if index != expected_index:
-            raise ParseError(f"coordinate lines must appear in order; expected "
-                             f"x{expected_index}, found x{index}", num, 1)
-        f = parse_polynomial(match.group(2), line_offset=num - 1)
-        key = (0,) * (index - 1) + (1,)
+    for i, f in enumerate(coordinates, start=1):
+        key = (0,) * (i - 1) + (1,)
         lam = f.coefficient(key)
-        tail = f - Polynomial.monomial(lam, key) if lam else f
         lambdas.append(lam)
-        tails.append(tail)
+        tails.append(f - Polynomial.monomial(lam, key) if lam else f)
     return TriangularAutomorphism(n, lambdas, tails)
 
 
 def parse_derivation(text: str) -> TriangularDerivation:
     """Parse the derivation file format and validate triangularity."""
-    n, lines = _mapping_lines(text, "'dx<i> <- <polynomial>'")
-    coeffs = []
-    for expected_index, (num, line) in enumerate(lines, start=1):
-        match = _DER_LINE_RE.match(line.strip())
-        if match is None:
-            raise ParseError(f"expected 'dx{expected_index} <- <polynomial>', "
-                             f"found {line.strip()!r}", num, 1)
-        index = int(match.group(1))
-        if index != expected_index:
-            raise ParseError(f"coefficient lines must appear in order; expected "
-                             f"dx{expected_index}, found dx{index}", num, 1)
-        coeffs.append(parse_polynomial(match.group(2), line_offset=num - 1))
-    return TriangularDerivation(n, coeffs)
+    return TriangularDerivation(*_coordinate_file(text, _DERIVATION_FILE))
 
 
 def parse_derivation_blocks(text: str) -> list[TriangularDerivation]:

@@ -36,21 +36,21 @@ with all numerators together (it is 1 for integer polynomials, which
 then skip every gcd), so two polynomials are equal exactly when their
 numerators and denominators are, whatever their `nvars`.
 
-`terms` is a read-only view {exponent tuple of length nvars:
-coefficient}, built on demand, with coefficients `int` where integral
-and `fractions.Fraction` otherwise.  Polynomials are immutable values:
-every operation returns a fresh instance and nothing here mutates its
-inputs.  The result of an operation lives in the larger of its
-operands' ambients.
+`terms` is a read-only dict {exponent tuple of length nvars:
+coefficient} (a `types.MappingProxyType`), built when it is read, with
+coefficients `int` where integral and `fractions.Fraction` otherwise.
+Polynomials are immutable values: every operation returns a fresh
+instance and nothing here mutates its inputs.  The result of an
+operation lives in the larger of its operands' ambients.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping as _Mapping
 from fractions import Fraction
 from functools import cache, reduce
 from math import gcd, lcm
 from operator import or_
+from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -267,47 +267,6 @@ def _horner(num: dict[int, int], images: list["Polynomial"],
     return acc, den
 
 
-class _TermsView(_Mapping):
-    """Read-only {exponent tuple of length nvars: coefficient} view of a
-    polynomial; its length is free, its entries are unpacked on first use."""
-
-    __slots__ = ("_poly", "_dict")
-
-    def __init__(self, poly: "Polynomial"):
-        self._poly = poly
-        self._dict = None
-
-    def _entries(self) -> dict[Monomial, Scalar]:
-        if self._dict is None:
-            p = self._poly
-            shifts = range(0, _SHIFT * p.nvars, _SHIFT)
-            den = p._den
-            self._dict = {tuple([(k >> s) & _MASK for s in shifts]): _scalar(c, den)
-                          for k, c in p._num.items()}
-        return self._dict
-
-    def __len__(self) -> int:
-        return len(self._poly._num)
-
-    def __iter__(self):
-        return iter(self._entries())
-
-    def __getitem__(self, key: Monomial) -> Scalar:
-        return self._entries()[key]
-
-    def values(self):
-        if self._dict is None:
-            den = self._poly._den
-            return [_scalar(c, den) for c in self._poly._num.values()]
-        return self._dict.values()
-
-    def items(self):
-        return self._entries().items()
-
-    def __repr__(self) -> str:
-        return repr(self._entries())
-
-
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients."""
 
@@ -332,6 +291,8 @@ class Polynomial:
                     cleaned[key] = coeff
         if nvars is None:
             nvars = width
+        elif type(nvars) is not int:
+            raise TypeError(f"nvars must be an int, not {type(nvars).__name__}")
         elif nvars < width:
             raise ValueError(f"nvars={nvars} too small for a monomial in x{width}")
         # Over the lcm of the reduced denominators the numerators are
@@ -378,8 +339,12 @@ class Polynomial:
 
     @property
     def terms(self) -> Mapping[Monomial, Scalar]:
-        """Read-only {exponent tuple of length nvars: coefficient} view."""
-        return _TermsView(self)
+        """Read-only {exponent tuple of length nvars: coefficient} dict,
+        built on each read."""
+        shifts = range(0, _SHIFT * self.nvars, _SHIFT)
+        den = self._den
+        return MappingProxyType({tuple([(k >> s) & _MASK for s in shifts]): _scalar(c, den)
+                                 for k, c in self._num.items()})
 
     def promoted(self, nvars: int) -> "Polynomial":
         """The same polynomial viewed in an ambient with nvars variables."""

@@ -127,7 +127,7 @@ def test_criterion_06_bracket_closures_are_finite_and_nilpotent():
         count = rng.randint(1, 3)
         generators = [random_triangular_derivation(n, 2, rng=rng, density=0.3)
                       for _ in range(count)]
-        basis = lie_closure(generators, cap=50)
+        basis = lie_closure(generators)
         series = lower_central_series(basis)
         assert series[-1] == 0
         max_dim = max(max_dim, basis.dimension)

@@ -5,6 +5,7 @@ import pytest
 
 from triaut import cli
 from triaut.cli import run
+from triaut.errors import PropertyViolation
 
 TOWER_MAP = "n=3\nx1 -> x1\nx2 -> x2 + x1^2\nx3 -> x3 + x2^2\n"
 TOWER_SQUARE = ("n=3\nx1 -> x1\nx2 -> x2 + 2*x1^2\n"
@@ -200,12 +201,24 @@ def test_degenerate_counterexample_is_exit_two():
     assert code == 2
 
 
-def test_property_violation_is_exit_one(heis_file):
-    # an unreachable closure cap converts the guaranteed-terminating
-    # saturation into a reportable property failure
+def test_property_violation_is_exit_one(heis_file, monkeypatch):
+    # a falsified property, and only that, is exit 1; there is no user-set
+    # closure cap, so --cap is a usage error
     code, _, err = invoke(["closure", heis_file, "--cap", "0"])
+    assert code == 2
+    assert "unrecognized arguments: --cap 0" in err
+
+    def falsified(generators):
+        raise PropertyViolation("closure still growing")
+
+    monkeypatch.setattr(cli, "lie_closure", falsified)
+    code, _, err = invoke(["closure", heis_file])
     assert code == 1
-    assert "property violation" in err
+    assert err == "property violation: closure still growing\n"
+    code, out, _ = invoke(["closure", heis_file, "--json"])
+    assert code == 1
+    assert json.loads(out) == {"command": "closure", "inputs": [], "result": None,
+                               "diagnostics": ["closure still growing"]}
 
 
 def test_closure_runs_past_fifty_rounds_on_valid_input(tmp_path):
@@ -266,7 +279,7 @@ def _every_subcommand(ddx1, phi_file, heis_file, flow_file):
         (["factor", phi_file], named(("automorphism", phi_file))),
         (["exp", flow_file, "2/4"], named(("derivation", flow_file), ("s", "1/2"))),
         (["bracket", ddx1, flow_file], named(("first", ddx1), ("second", flow_file))),
-        (["closure", "--cap", "7", heis_file, ddx1],
+        (["closure", heis_file, ddx1],
          named(("derivations", heis_file), ("derivations", ddx1))),
         (["fuzz-degree", "2", "3", "--trials", "4", "--word-len", "2", "--seed", "9"],
          named(("n", 2), ("m", 3), ("word_len", 2), ("trials", 4), ("seed", 9))),

@@ -4,6 +4,7 @@ from random import Random
 import pytest
 
 from triaut.derivations import bracket, make_derivation, random_triangular_derivation
+from triaut import lie
 from triaut.errors import CapExceededError, PropertyViolation
 from triaut.lie import (
     LieBasis,
@@ -180,21 +181,24 @@ def test_closure_matches_oracle_on_random_sets():
         assert lie_closure(gens).dimension == oracle_closure_dimension(gens)
 
 
-def test_cap_is_enforced():
+def test_cap_is_enforced(monkeypatch):
+    # the round cap is max_i w_i; weights below the true ones make it unreachable
     gens = [make_derivation(2, [1, 0]), make_derivation(2, [0, x1 ** 2])]
+    monkeypatch.setattr(lie, "_weights", lambda generators, n: [0, 0])
     with pytest.raises(CapExceededError):
-        lie_closure(gens, cap=0)
+        lie_closure(gens)
 
 
-def test_default_cap_is_derived_from_the_generators():
+def test_default_cap_is_derived_from_the_generators(monkeypatch):
     # w_2 = 1 + 60: the closure {d/dx1, x1^k d/dx2 : k <= 60} needs exactly
     # 61 rounds, more than any guessed constant below it
     gens = [make_derivation(2, [1, 0]), make_derivation(2, [0, x1 ** 60])]
     basis = lie_closure(gens)
     assert basis.dimension == 62
     assert all(basis.contains(make_derivation(2, [0, x1 ** k])) for k in range(61))
+    monkeypatch.setattr(lie, "_weights", lambda generators, n: [1, 60])
     with pytest.raises(CapExceededError):
-        lie_closure(gens, cap=60)
+        lie_closure(gens)
 
 
 def test_closure_requires_generators_and_common_dimension():

@@ -134,3 +134,50 @@ def test_derivation_round_trip_random():
         text = d.to_text()
         assert parse_derivation(text) == d
         assert parse_derivation(text).to_text() == text
+
+
+# (text, exception type, exact message) for both file formats: a bad header,
+# a wrong line count, a malformed line, an out-of-order line and a
+# non-triangular entry.
+FILE_FORMAT_ERRORS = [
+    (parse_automorphism, "nope\nx1 -> x1\n", ParseError,
+     "line 1, col 1: expected header 'n=<int>', found 'nope'"),
+    (parse_automorphism, "n=2\nx1 -> x1\n", ParseError,
+     "expected 2 'x<i> -> <polynomial>' lines after the header, found 1"),
+    (parse_automorphism, "n=2\nx1 -> x1\n  x2 => x2\n", ParseError,
+     "line 3, col 1: expected 'x2 -> <polynomial>', found 'x2 => x2'"),
+    (parse_automorphism, "n=2\n\nx2 -> x2\nx1 -> x1\n", ParseError,
+     "line 3, col 1: coordinate lines must appear in order; expected x1, found x2"),
+    (parse_automorphism, "n=2\nx1 -> x1 + x2\nx2 -> x2\n", TriangularityError,
+     "tail of coordinate 1 mentions x2; only x1..x0 allowed"),
+    (parse_derivation, "n=x\ndx1 <- 1\n", ParseError,
+     "line 1, col 1: expected header 'n=<int>', found 'n=x'"),
+    (parse_derivation, "n=2\ndx1 <- 1\n", ParseError,
+     "expected 2 'dx<i> <- <polynomial>' lines after the header, found 1"),
+    (parse_derivation, "n=2\ndx1 <- 1\ndx2 < x1\n", ParseError,
+     "line 3, col 1: expected 'dx2 <- <polynomial>', found 'dx2 < x1'"),
+    (parse_derivation, "n=2\ndx2 <- 1\ndx1 <- 0\n", ParseError,
+     "line 2, col 1: coefficient lines must appear in order; expected dx1, found dx2"),
+    (parse_derivation, "n=2\ndx1 <- 1\ndx2 <- x2\n", TriangularityError,
+     "coefficient of d/dx2 mentions x2; only x1..x1 allowed"),
+    (parse_derivation, "n=2\ndx1 <- 1\ndx2 <- 1 + x3\n", TriangularityError,
+     "coefficient of d/dx2 mentions x3; only x1..x1 allowed"),
+    (parse_derivation, "", ParseError, "empty input; expected a header line 'n=<int>'"),
+    (parse_derivation, "n=0\n", ParseError, "line 1, col 1: dimension must be at least 1"),
+    (parse_automorphism, "n=1\nx1 -> x1 + \n", ParseError,
+     "line 2, col 5: expected a number, variable, or '(', found end of input"),
+]
+
+
+@pytest.mark.parametrize("parse, text, error, message", FILE_FORMAT_ERRORS)
+def test_file_format_error_texts_are_pinned(parse, text, error, message):
+    with pytest.raises(error) as err:
+        parse(text)
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
+def test_tail_beyond_the_ambient_is_reported_as_non_triangular():
+    with pytest.raises(TriangularityError) as err:
+        parse_automorphism("n=2\nx1 -> x1\nx2 -> x2 + x3\n")
+    assert str(err.value) == "tail of coordinate 2 mentions x3; only x1..x1 allowed"

@@ -131,6 +131,19 @@ def test_bool_scalars_rejected():
         x1 * True
 
 
+def test_ambient_dimension_must_be_an_int():
+    # print -> parse needs an int n: n=True or n=2.0 would print as such
+    for n in (True, 2.0, Fraction(2), "2"):
+        with pytest.raises(TypeError):
+            make(n, [1] * 2, [0] * 2)
+        with pytest.raises(TypeError):
+            make_derivation(n, [0] * 2)
+        with pytest.raises(TypeError):
+            Polynomial({(1, 0): 1}, nvars=n)
+    assert make(1, [1], [0]).to_text() == "n=1\nx1 -> x1\n"
+    assert Polynomial({(1, 0): 1}, nvars=2).terms == {(1, 0): 1}
+
+
 def test_bool_exponents_rejected():
     with pytest.raises(ValueError):
         Polynomial({(True,): 1})
