@@ -256,8 +256,8 @@ def _triangular(n: int, polys: Sequence, noun: str, label: str) -> tuple[Polynom
             p = Polynomial.constant(p, n)
         mv = p.max_variable()
         if mv >= i:
-            raise TriangularityError(
-                f"{label.format(i)} mentions x{mv}; only x1..x{i - 1} allowed")
+            allowed = f"only x1..x{i - 1} allowed" if i > 1 else "it must be a constant"
+            raise TriangularityError(f"{label.format(i)} mentions x{mv}; {allowed}")
         out.append(p.promoted(n))
     return tuple(out)
 

@@ -2,18 +2,21 @@
 the structure constants of the closed algebra.
 
 A derivation is a sparse vector {(coordinate index, exponents): coefficient}.
-A row space keeps fully reduced rows, each a dict of its nonzero entries,
-and orders keys by first sight: every vector offered to it registers its
-keys, dependent or not, so new monomials from bracket results extend the
-order lazily and no a-priori degree bound is assumed.  A row's pivot is
-its earliest key in that order, and the rows are kept sorted by pivot.
-All elimination is fraction-exact Gaussian elimination, so ranks and
+A row space keeps fully reduced rows, each a dict of its nonzero entries.
+A row's pivot is its least key in the keys' natural order, and the rows
+are kept sorted by pivot; a fully reduced basis under a fixed key order
+is unique, so the rows depend only on the span, not on the order in which
+vectors were offered.  No a-priori degree bound is assumed.  All
+elimination is fraction-exact Gaussian elimination, so ranks and
 dimensions are never approximate.
 
-`lie_closure` saturates a generator set under the bracket.  For
-triangular generators the loop provably terminates (the generated Lie
-algebra is finite-dimensional and nilpotent) within a number of rounds
-derived from the generators, so hitting that cap is a property violation.
+`lie_closure` saturates a generator set under the bracket with the
+generators only: left-normed brackets [s_1, [s_2, ... [s_{k-1}, s_k]]]
+of generators span the generated Lie algebra (Reutenauer, *Free Lie
+Algebras*, 1993).  For triangular generators the loop provably terminates
+(the generated Lie algebra is finite-dimensional and nilpotent) within a
+number of rounds derived from the generators, so hitting that cap is a
+property violation.
 
 Everything after the closure is rational linear algebra on the structure
 constants, [e_i, e_j] = sum_k c_ij^k e_k (de Graaf, *Lie Algebras: Theory
@@ -31,7 +34,7 @@ from __future__ import annotations
 from bisect import bisect
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations, product
+from itertools import combinations, product
 from typing import Sequence
 
 from .derivations import TriangularDerivation, _weights, bracket
@@ -48,13 +51,12 @@ def _derivation_entries(d: TriangularDerivation) -> dict:
 
 
 class _RowSpace:
-    """Fully reduced sparse rows over keys in first-seen order."""
+    """Fully reduced sparse rows, each pivoting on its least key."""
 
     def __init__(self):
         # keys: (coordinate index, exponents) or basis indices
-        self.order: dict = {}   # key -> first-seen position
-        self.rows: list[dict] = []   # {key: nonzero value}, sorted by pivot position
-        self.pivots: list = []   # each row's pivot: its earliest key in `order`
+        self.rows: list[dict] = []   # {key: nonzero value}, sorted by pivot
+        self.pivots: list = []   # each row's pivot: its least key
 
     @property
     def dimension(self) -> int:
@@ -70,22 +72,18 @@ class _RowSpace:
         return vec
 
     def add(self, vec: dict) -> bool:
-        """Register vec's keys, then insert vec if independent; True iff
-        the rank grew."""
-        order = self.order
-        for key in vec:
-            order.setdefault(key, len(order))
+        """Insert vec if independent; True iff the rank grew."""
         vec = self.reduce(vec)
         if not vec:
             return False
-        pivot = min(vec, key=order.__getitem__)
+        pivot = min(vec)
         inv = Fraction(1, 1) / Fraction(vec[pivot])
         vec = {key: as_scalar(Fraction(v) * inv) for key, v in vec.items()}
         for row in self.rows:
             factor = row.get(pivot)
             if factor:
                 _subtract(row, factor, vec)
-        at = bisect(self.pivots, order[pivot], key=order.__getitem__)
+        at = bisect(self.pivots, pivot)
         self.rows.insert(at, vec)
         self.pivots.insert(at, pivot)
         return True
@@ -154,12 +152,14 @@ class LieBasis:
 def lie_closure(generators: Sequence[TriangularDerivation]) -> LieBasis:
     """Smallest bracket-closed rational subspace containing the generators.
 
-    Worklist saturation: each round brackets (new, old) and (new, new)
-    pairs and inserts the independent results.  Rounds are capped by
-    max_i w_i over the generators' weights (see `derivations._weights`):
-    a bracket of length L lowers weighted degree by at least L, a nonzero
-    derivation by at most max_i w_i, and round r only adds brackets of
-    length >= r + 1.  Valid input never exceeds it.
+    Left-normed saturation: round 1 brackets each pair of independent
+    generators, and round r > 1 brackets each of them with each element
+    round r - 1 added, so round r adds left-normed brackets of length
+    r + 1; an element [s, y] with y dependent on earlier rounds is already
+    spanned.  Rounds are capped by max_i w_i over the generators' weights
+    (see `derivations._weights`): a bracket of length L lowers weighted
+    degree by at least L and a nonzero derivation by at most max_i w_i.
+    Valid input never exceeds it.
     """
     generators = list(generators)
     if not generators:
@@ -170,23 +170,17 @@ def lie_closure(generators: Sequence[TriangularDerivation]) -> LieBasis:
             raise ValueError(f"dimension mismatch: {d.n} vs {n}")
     cap = max(_weights(generators, n))
     space = _RowSpace()
-    new = [d for d in generators if space.add(_derivation_entries(d))]
-    old: list[TriangularDerivation] = []
-    rounds = 0
-    while new:
-        rounds += 1
-        if rounds > cap:
-            raise CapExceededError(
-                f"bracket closure still growing after {cap} rounds "
-                f"(dimension {space.dimension})")
-        batch = []
-        for a, b in chain(product(new, old), combinations(new, 2)):
-            c = bracket(a, b)
-            if not c.is_zero() and space.add(_derivation_entries(c)):
-                batch.append(c)
-        old.extend(new)
-        new = batch
-    return LieBasis(n, space)
+    gens = [d for d in generators if space.add(_derivation_entries(d))]
+    pairs = combinations(gens, 2)
+    for _ in range(cap):
+        new = [c for a, b in pairs
+               if space.add(_derivation_entries(c := bracket(a, b)))]
+        if not new:
+            return LieBasis(n, space)
+        pairs = product(gens, new)
+    raise CapExceededError(
+        f"bracket closure still growing after {cap} rounds "
+        f"(dimension {space.dimension})")
 
 
 def _coordinate_bracket(u: Coordinates, v: Coordinates,

@@ -145,6 +145,19 @@ def _scalar(numerator: int, denominator: int) -> Scalar:
     return q.numerator if q.denominator == 1 else q
 
 
+def _ambient(nvars, width: int) -> int:
+    """The ambient variable count: `width` when nvars is None, else nvars,
+    which must be an int (not bool, TypeError) of at least `width`
+    (ValueError)."""
+    if nvars is None:
+        return width
+    if type(nvars) is not int:
+        raise TypeError(f"nvars must be an int, not {type(nvars).__name__}")
+    if nvars < width:
+        raise ValueError(f"nvars={nvars} too small for a monomial in x{width}")
+    return nvars
+
+
 def _make(num: dict[int, int], den: int, nvars: int) -> "Polynomial":
     # num and den already normalised; num may be shared, as no polynomial
     # mutates its dict.
@@ -165,8 +178,7 @@ def _normalised(num: dict[int, int], den: int, nvars: int) -> "Polynomial":
 
 
 def _combine(a: "Polynomial", b: "Polynomial", sign: int) -> "Polynomial":
-    """a + sign*b.  The larger operand's terms keep their order and the
-    other's new keys follow in theirs; a term that cancels is dropped."""
+    """a + sign*b; a term that cancels is dropped."""
     ta, da, sa, tb, db, sb = a._num, a._den, 1, b._num, b._den, sign
     if len(tb) > len(ta):
         ta, da, sa, tb, db, sb = tb, db, sb, ta, da, sa
@@ -182,8 +194,7 @@ def _combine(a: "Polynomial", b: "Polynomial", sign: int) -> "Polynomial":
 
 
 def _add_into(out: dict[int, int], terms: dict[int, int], scale: int) -> None:
-    """out += scale * terms, in place; new keys follow in terms' order and a
-    term that cancels is dropped."""
+    """out += scale * terms, in place; a term that cancels is dropped."""
     get = out.get
     for key, c in terms.items():
         prev = get(key)
@@ -289,12 +300,7 @@ class Polynomial:
                             del cleaned[key]
                             continue
                     cleaned[key] = coeff
-        if nvars is None:
-            nvars = width
-        elif type(nvars) is not int:
-            raise TypeError(f"nvars must be an int, not {type(nvars).__name__}")
-        elif nvars < width:
-            raise ValueError(f"nvars={nvars} too small for a monomial in x{width}")
+        nvars = _ambient(nvars, width)
         # Over the lcm of the reduced denominators the numerators are
         # already coprime to it: no gcd pass needed.
         den = lcm(*(c.denominator for c in cleaned.values() if type(c) is not int))
@@ -305,15 +311,16 @@ class Polynomial:
 
     @classmethod
     def zero(cls, nvars: int = 0) -> "Polynomial":
-        return _make({}, 1, nvars)
+        return _make({}, 1, _ambient(nvars, 0))
 
     @classmethod
     def one(cls, nvars: int = 0) -> "Polynomial":
-        return _make({0: 1}, 1, nvars)
+        return _make({0: 1}, 1, _ambient(nvars, 0))
 
     @classmethod
     def constant(cls, value, nvars: int = 0) -> "Polynomial":
         c = as_scalar(value)
+        nvars = _ambient(nvars, 0)
         if not c:
             return _make({}, 1, nvars)
         if type(c) is int:
@@ -325,11 +332,7 @@ class Polynomial:
         """The polynomial x_index (1-based)."""
         if index < 1:
             raise ValueError("variable index must be at least 1")
-        if nvars is None:
-            nvars = index
-        elif nvars < index:
-            raise ValueError(f"nvars={nvars} too small for x{index}")
-        return _make({1 << (_SHIFT * (index - 1)): 1}, 1, nvars)
+        return _make({1 << (_SHIFT * (index - 1)): 1}, 1, _ambient(nvars, index))
 
     @classmethod
     def monomial(cls, coeff, exponents: Sequence[int], nvars: int | None = None) -> "Polynomial":

@@ -28,7 +28,7 @@ x1 = Polynomial.variable(1, 2)
 # Brute-force saturation with its own rank computation: collect coefficient
 # vectors over the union of all monomials seen, run fraction Gaussian
 # elimination from scratch each round, and bracket *every* pair of the
-# current spanning list.  Slow but independent of the production worklist.
+# current spanning list.  Slow but independent of the production closure.
 
 def _oracle_rank(vectors):
     rows = [list(map(Fraction, v)) for v in vectors if any(v)]
@@ -155,21 +155,22 @@ def test_closure_is_idempotent():
         basis = lie_closure(gens)
         if basis.dimension == 0:
             continue
-        again = lie_closure(basis.elements)
-        assert again.dimension == basis.dimension
+        # the reduced rows depend only on the span: re-closing reprints them
+        assert closure_report(lie_closure(basis.elements)) == closure_report(basis)
 
 
 def test_dimension_ignores_generator_order_and_scaling():
+    # the whole report, basis texts included, is a function of the algebra
     rng = Random(402)
     for _ in range(10):
         n = rng.randint(2, 4)
         gens = [random_triangular_derivation(n, 2, rng=rng, density=0.4)
                 for _ in range(3)]
-        dim = lie_closure(gens).dimension
-        assert lie_closure(list(reversed(gens))).dimension == dim
+        report = closure_report(lie_closure(gens))
+        assert closure_report(lie_closure(list(reversed(gens)))) == report
         scaled = [g * Fraction(rng.choice([1, 2, 3, -1, -2]), rng.choice([1, 2]))
                   for g in gens]
-        assert lie_closure(scaled).dimension == dim
+        assert closure_report(lie_closure(scaled)) == report
 
 
 def test_closure_matches_oracle_on_random_sets():
@@ -278,27 +279,28 @@ def test_closure_report_shape():
 
 
 def test_closure_report_basis_texts_are_pinned():
-    # the reduced rows in pivot order, each normalised at its pivot; any
-    # change to the row reduction's key order or elimination shows here
+    # the reduced rows sorted by pivot, the least key of each in the natural
+    # order of (coordinate index, exponents), each normalised at its pivot;
+    # any change to the key order or the elimination shows here
     shear = [make_derivation(2, [1, 0]), make_derivation(2, [0, x1 ** 2])]
     assert closure_report(lie_closure(shear))["basis"] == [
         "n=2\ndx1 <- 1\ndx2 <- 0\n",
-        "n=2\ndx1 <- 0\ndx2 <- x1^2\n",
-        "n=2\ndx1 <- 0\ndx2 <- x1\n",
         "n=2\ndx1 <- 0\ndx2 <- 1\n",
+        "n=2\ndx1 <- 0\ndx2 <- x1\n",
+        "n=2\ndx1 <- 0\ndx2 <- x1^2\n",
     ]
     rng = Random(18)
     gens = [random_triangular_derivation(4, 2, rng=rng, density=0.3) for _ in range(3)]
     zero = "n=4\ndx1 <- 0\ndx2 <- 0\ndx3 <- 0\n"
     assert closure_report(lie_closure(gens))["basis"] == [
-        "n=4\ndx1 <- 1\ndx2 <- 1/4 + x1\ndx3 <- -1/2*x1*x2\ndx4 <- x2*x3 - 2/15*x1^3\n",
+        "n=4\ndx1 <- 1\ndx2 <- x1\ndx3 <- 1/2*x2 - 1/2*x1*x2\ndx4 <- 1/2*x1*x3 + x2*x3 - 2/15*x1^3\n",
+        "n=4\ndx1 <- 0\ndx2 <- 1\ndx3 <- -2*x2\ndx4 <- -2*x1*x3\n",
         "n=4\ndx1 <- 0\ndx2 <- 0\ndx3 <- 1\ndx4 <- 2/15*x1^3\n",
-        "n=4\ndx1 <- 0\ndx2 <- -1/2\ndx3 <- x2\ndx4 <- x1*x3\n",
-        zero + "dx4 <- x1\n",
-        zero + "dx4 <- x2\n",
-        zero + "dx4 <- x1^2\n",
-        zero + "dx4 <- x1*x2 + 2/15*x1^3\n",
         "n=4\ndx1 <- 0\ndx2 <- 0\ndx3 <- x1\ndx4 <- -1/15*x1^3\n",
         zero + "dx4 <- 1\n",
         zero + "dx4 <- x3 - 2/3*x2^2 + 1/90*x1^3 - 1/3*x1^2*x2\n",
+        zero + "dx4 <- x2\n",
+        zero + "dx4 <- x1\n",
+        zero + "dx4 <- x1*x2 + 2/15*x1^3\n",
+        zero + "dx4 <- x1^2\n",
     ]

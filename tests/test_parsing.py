@@ -149,7 +149,7 @@ FILE_FORMAT_ERRORS = [
     (parse_automorphism, "n=2\n\nx2 -> x2\nx1 -> x1\n", ParseError,
      "line 3, col 1: coordinate lines must appear in order; expected x1, found x2"),
     (parse_automorphism, "n=2\nx1 -> x1 + x2\nx2 -> x2\n", TriangularityError,
-     "tail of coordinate 1 mentions x2; only x1..x0 allowed"),
+     "tail of coordinate 1 mentions x2; it must be a constant"),
     (parse_derivation, "n=x\ndx1 <- 1\n", ParseError,
      "line 1, col 1: expected header 'n=<int>', found 'n=x'"),
     (parse_derivation, "n=2\ndx1 <- 1\n", ParseError,
@@ -158,6 +158,8 @@ FILE_FORMAT_ERRORS = [
      "line 3, col 1: expected 'dx2 <- <polynomial>', found 'dx2 < x1'"),
     (parse_derivation, "n=2\ndx2 <- 1\ndx1 <- 0\n", ParseError,
      "line 2, col 1: coefficient lines must appear in order; expected dx1, found dx2"),
+    (parse_derivation, "n=2\ndx1 <- x1\ndx2 <- 0\n", TriangularityError,
+     "coefficient of d/dx1 mentions x1; it must be a constant"),
     (parse_derivation, "n=2\ndx1 <- 1\ndx2 <- x2\n", TriangularityError,
      "coefficient of d/dx2 mentions x2; only x1..x1 allowed"),
     (parse_derivation, "n=2\ndx1 <- 1\ndx2 <- 1 + x3\n", TriangularityError,

@@ -140,6 +140,16 @@ def test_ambient_dimension_must_be_an_int():
             make_derivation(n, [0] * 2)
         with pytest.raises(TypeError):
             Polynomial({(1, 0): 1}, nvars=n)
+        for build in (Polynomial.zero, Polynomial.one, lambda n: Polynomial.constant(3, n),
+                      lambda n: Polynomial.variable(1, n)):
+            with pytest.raises(TypeError):
+                build(n)
+    # the named constructors share the check, range included
+    for build in (Polynomial.zero, Polynomial.one, lambda n: Polynomial.constant(3, n)):
+        with pytest.raises(ValueError):
+            build(-1)
+    with pytest.raises(ValueError):
+        Polynomial.variable(2, 1)
     assert make(1, [1], [0]).to_text() == "n=1\nx1 -> x1\n"
     assert Polynomial({(1, 0): 1}, nvars=2).terms == {(1, 0): 1}
 
