@@ -25,6 +25,8 @@ from .polynomials import (
     Monomial,
     Polynomial,
     Scalar,
+    _coordinate,
+    _substitute_add,
     as_scalar,
     monomials_up_to_degree,
     scalar_inverse,
@@ -55,8 +57,7 @@ class TriangularAutomorphism:
         """The coordinate polynomial f_i = lambda_i x_i + h_i (1-based)."""
         if i < 1 or i > self.n:
             raise ValueError(f"coordinate index {i} out of range 1..{self.n}")
-        unit = (0,) * (i - 1) + (1,)
-        return self.tails[i - 1] + Polynomial.monomial(self.lambdas[i - 1], unit, self.n)
+        return _coordinate(self.lambdas[i - 1], i, self.tails[i - 1])
 
     def coordinates(self) -> list[Polynomial]:
         return [self.coordinate(i) for i in range(1, self.n + 1)]
@@ -117,7 +118,11 @@ def compose(outer: TriangularAutomorphism,
     """The automorphism applying `inner` first, then `outer`.
 
     Coordinate j of the result is outer_j evaluated at the inner tuple:
-    lambda'_j lambda_j x_j + lambda'_j p_j + p'_j(inner coordinates).
+    lambda'_j lambda_j x_j + lambda'_j p_j + p'_j(inner coordinates).  Each
+    tail p'_j(inner coordinates) + lambda'_j p_j is one call of the
+    substitution kernel (`polynomials._substitute_add`): one numerator
+    dict, normalised once; where p'_j is 0 and lambda'_j is 1 it is p_j
+    itself.
     """
     if outer.n != inner.n:
         raise ValueError(f"dimension mismatch: {outer.n} vs {inner.n}")
@@ -128,10 +133,7 @@ def compose(outer: TriangularAutomorphism,
     for j in range(n):
         lam = outer.lambdas[j]
         lambdas.append(lam * inner.lambdas[j])
-        tail = inner.tails[j] * lam
-        if outer.tails[j]:
-            tail = tail + outer.tails[j].substitute(coords)
-        tails.append(tail)
+        tails.append(_substitute_add(outer.tails[j], coords, n, lam, inner.tails[j]))
     return TriangularAutomorphism(n, lambdas, tails)
 
 
@@ -140,20 +142,19 @@ def invert(phi: TriangularAutomorphism) -> TriangularAutomorphism:
 
     Coordinate i of the inverse is lambda_i^{-1} (x_i - h_i(g_1, ..., g_{i-1}))
     where g_1, ..., g_{i-1} are the already-computed earlier coordinates.
+    The tail, (-h_i / lambda_i)(g_1, ..., g_{i-1}), is one call of the
+    substitution kernel (`polynomials._substitute_add`), the small h_i
+    scaled before it is evaluated; g_i is that tail with its linear term
+    added to the tail's own numerator dict.
     """
     n = phi.n
     inv_lambdas = [scalar_inverse(lam) for lam in phi.lambdas]
     solved: list[Polynomial] = []
     tails = []
-    zero = Polynomial.zero(n)
     for i in range(n):
-        tail = phi.tails[i]
-        if tail:
-            images = solved + [zero] * (n - len(solved))
-            tail = tail.substitute(images)
-        inv_tail = tail * (-inv_lambdas[i])
+        inv_tail = _substitute_add(phi.tails[i] * -inv_lambdas[i], solved, n)
         tails.append(inv_tail)
-        solved.append(Polynomial.variable(i + 1, n) * inv_lambdas[i] + inv_tail)
+        solved.append(_coordinate(inv_lambdas[i], i + 1, inv_tail))
     return TriangularAutomorphism(n, inv_lambdas, tails)
 
 

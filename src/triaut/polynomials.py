@@ -21,15 +21,22 @@ larger one with ValueError, and a product whose exponent would reach
 the limit sets a guard bit, which is checked once per product (one pass
 over the result's keys), and raises ValueError instead of carrying into
 the next variable.  Substitution checks the guard bits after every
-multiplication it makes, as one unchecked step can carry past the guard.
+multiplication or key shift it makes, as one unchecked step can carry
+past the guard, and checks e * (largest exponent of a) before it shifts
+keys by e*a.
 
 Substitution evaluates by the multivariate Horner scheme: the polynomial
 is split on its highest variable and acc = acc * image + coefficient is
 folded in from the top power down, each coefficient evaluated the same
 way.  Each step multiplies into one fresh numerator dict and adds the
-coefficient into that same dict, over a running common denominator; no
-intermediate polynomial is built, and the result is divided by the
-input's denominator and normalised once.
+coefficient into that same dict, over a running common denominator.  A
+one-term image (p/q) x^a takes no products: each coefficient is
+evaluated once and added with its keys shifted by e*a and its numerators
+scaled by p^e.  One kernel, `_substitute_add`, returns p(images) +
+c * addend: the addend is added into the evaluated dict and the result
+normalised once, so `substitute` and the compose and invert of
+`triaut.automorphisms` (tail' = p'(coordinates) + lambda' * tail) build
+no intermediate polynomial.
 
 The form is normalised: the denominator is positive and shares no factor
 with all numerators together (it is 1 for integer polynomials, which
@@ -39,9 +46,10 @@ numerators and denominators are, whatever their `nvars`.
 `terms` is a read-only dict {exponent tuple of length nvars:
 coefficient} (a `types.MappingProxyType`), built when it is read, with
 coefficients `int` where integral and `fractions.Fraction` otherwise.
-Polynomials are immutable values: every operation returns a fresh
-instance and nothing here mutates its inputs.  The result of an
-operation lives in the larger of its operands' ambients.
+Polynomials are immutable values: nothing here mutates its inputs, and
+an operation may hand back an operand unchanged (p * 1 is p) or share
+its numerator dict.  The result of an operation lives in the larger of
+its operands' ambients.
 """
 
 from __future__ import annotations
@@ -133,6 +141,14 @@ def _degree(key: int) -> int:
     return d
 
 
+def _max_exponent(key: int) -> int:
+    m = 0
+    while key:
+        m = max(m, key & _MASK)
+        key >>= _SHIFT
+    return m
+
+
 @cache
 def _guards(nvars: int) -> int:
     return sum(_LIMIT << (_SHIFT * i) for i in range(nvars))
@@ -193,10 +209,13 @@ def _combine(a: "Polynomial", b: "Polynomial", sign: int) -> "Polynomial":
     return _normalised(out, den, max(a.nvars, b.nvars))
 
 
-def _add_into(out: dict[int, int], terms: dict[int, int], scale: int) -> None:
-    """out += scale * terms, in place; a term that cancels is dropped."""
+def _add_into(out: dict[int, int], terms: dict[int, int], scale: int,
+              shift: int = 0) -> None:
+    """out += scale * x^shift * terms, in place (`shift` a packed key); a
+    term that cancels is dropped."""
     get = out.get
     for key, c in terms.items():
+        key += shift
         prev = get(key)
         if prev is None:
             out[key] = c * scale
@@ -247,6 +266,9 @@ def _horner(num: dict[int, int], images: list["Polynomial"],
     variable x_v as sum_e c_e * x_v^e, evaluate each c_e recursively, and
     fold them in as acc = acc * images[v-1] + c_e from the top power down.
     Each step writes one fresh dict over the lcm of the two denominators.
+    A one-term image takes no products: see `_monomial_fold`.
+
+    A constant `num` is returned as is, not copied.
     """
     top = _width(max(num))
     if not top:
@@ -261,6 +283,8 @@ def _horner(num: dict[int, int], images: list["Polynomial"],
         else:
             part[key & low] = c
     y = images[top - 1]
+    if len(y._num) == 1:
+        return _monomial_fold(parts, y, images, guards)
     e = max(parts)
     acc, den = _horner(parts[e], images, guards)
     while e:
@@ -276,6 +300,85 @@ def _horner(num: dict[int, int], images: list["Polynomial"],
         _add_into(acc, pnum, den // g)
         den = den // g * pden
     return acc, den
+
+
+def _monomial_fold(parts: dict[int, dict[int, int]], y: "Polynomial",
+                   images: list["Polynomial"], guards: int) -> tuple[dict[int, int], int]:
+    """sum_e parts[e](images) * y^e for a one-term image y = (p/q) x^a, as
+    (numerators, denominator): each part is evaluated once and added with
+    its keys shifted by e*a and its numerators scaled by p^e, over the lcm
+    of the parts' denominators times q^e.
+
+    A key times e can carry from one exponent field into the next, past
+    its guard bit, so e * (largest exponent of a) is checked before the
+    shift; the sums of shifted keys are then checked by their guard bits.
+    """
+    [(a, p)] = y._num.items()
+    q = y._den
+    top = _max_exponent(a)
+    evaluated = []
+    den = 1
+    for e, part in parts.items():
+        pnum, pden = _horner(part, images, guards)
+        if pnum:
+            if e * top >= _LIMIT:
+                raise ValueError(f"substitution has an exponent not below 2**{EXPONENT_BITS}")
+            pden *= q ** e
+            # pairwise: lcm(*generator) leaves resized argument tuples in
+            # the interpreter's free lists, and peak RSS grows over a run
+            den = lcm(den, pden)
+            evaluated.append((e, pnum, pden))
+    out: dict[int, int] = {}
+    for e, pnum, pden in evaluated:
+        _add_into(out, pnum, p ** e * (den // pden), e * a)
+    if reduce(or_, out, 0) & guards:
+        raise ValueError(f"substitution has an exponent not below 2**{EXPONENT_BITS}")
+    return out, den
+
+
+def _substitute_add(p: "Polynomial", images: Sequence["Polynomial"], nvars: int,
+                    c: Scalar = 0, addend: "Polynomial | None" = None) -> "Polynomial":
+    """p(images) + c * addend in ambient nvars, normalised once: the one
+    substitution kernel, behind `Polynomial.substitute` and the compose and
+    invert of `triaut.automorphisms`.
+
+    `images` are polynomials, at least p.max_variable() of them; neither
+    they nor `addend` may be wider than nvars.  p's numerators go through
+    `_horner`; c * addend is added into the result's dict over the common
+    denominator.  With p zero the result is addend scaled by c (addend
+    itself when c is 1).
+    """
+    if not p._num:
+        if addend is None:
+            return _make({}, 1, nvars)
+        return addend._scaled(c).promoted(nvars)
+    num, den = _horner(p._num, images, _guards(nvars))
+    den *= p._den
+    if c and addend:
+        cp, cq = (c, 1) if type(c) is int else (c.numerator, c.denominator)
+        aden = addend._den * cq
+        g = gcd(den, aden)
+        if aden != g:
+            num = {k: v * (aden // g) for k, v in num.items()}
+        elif num is p._num:  # a constant p: _horner handed back p's own dict
+            num = dict(num)
+        _add_into(num, addend._num, cp * (den // g))
+        den = den // g * aden
+    return _normalised(num, den, nvars)
+
+
+def _coordinate(lam: Scalar, index: int, tail: "Polynomial") -> "Polynomial":
+    """lam * x_index + tail for a nonzero lam and a tail free of x_index,
+    built on the tail's numerators over the lcm of the two denominators.
+    The result needs no gcd pass: a prime dividing that lcm and every
+    numerator would divide either the tail's denominator and numerators,
+    or lam's numerator and denominator."""
+    p, q = (lam, 1) if type(lam) is int else (lam.numerator, lam.denominator)
+    den = tail._den
+    scale = q // gcd(den, q)
+    num = {k: c * scale for k, c in tail._num.items()} if scale != 1 else dict(tail._num)
+    num[1 << (_SHIFT * (index - 1))] = p * (den // (q // scale))
+    return _make(num, den * scale, tail.nvars)
 
 
 class Polynomial:
@@ -329,7 +432,10 @@ class Polynomial:
 
     @classmethod
     def variable(cls, index: int, nvars: int | None = None) -> "Polynomial":
-        """The polynomial x_index (1-based)."""
+        """The polynomial x_index (1-based); index must be an int (not
+        bool), else TypeError."""
+        if type(index) is not int:
+            raise TypeError(f"variable index must be an int, not {type(index).__name__}")
         if index < 1:
             raise ValueError("variable index must be at least 1")
         return _make({1 << (_SHIFT * (index - 1)): 1}, 1, _ambient(nvars, index))
@@ -381,6 +487,8 @@ class Polynomial:
         return bool(self._num)
 
     def __eq__(self, other) -> bool:
+        if type(other) is bool:  # not a scalar here (see as_scalar)
+            return NotImplemented
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(other)
         elif not isinstance(other, Polynomial):
@@ -431,6 +539,8 @@ class Polynomial:
     __rmul__ = __mul__
 
     def _scaled(self, c: Scalar) -> "Polynomial":
+        if c == 1:
+            return self
         if not c:
             return _make({}, 1, self.nvars)
         p, q = (c, 1) if type(c) is int else (c.numerator, c.denominator)
@@ -477,22 +587,19 @@ class Polynomial:
         """Replace x_i by images[i-1] and expand to canonical form.
 
         images must supply at least nvars polynomials; they may be any
-        polynomials.  The numerators are evaluated by the multivariate
-        Horner scheme (see `_horner`) over a running common denominator,
-        and the result is divided by this polynomial's denominator and
-        normalised once, at the end.  An exponent reaching 2**EXPONENT_BITS
-        at any Horner step raises ValueError.
+        polynomials or scalars.  The numerators are evaluated by the
+        multivariate Horner scheme (see `_horner` and `_substitute_add`)
+        over a running common denominator, and the result is divided by
+        this polynomial's denominator and normalised once, at the end.  An
+        exponent reaching 2**EXPONENT_BITS at any Horner step raises
+        ValueError.
         """
         if len(images) < self.nvars:
             raise ValueError(
                 f"substitute needs {self.nvars} images, got {len(images)}")
         images = [im if isinstance(im, Polynomial) else Polynomial.constant(im)
                   for im in images]
-        width = max((im.nvars for im in images), default=0)
-        if not self._num:
-            return _make({}, 1, width)
-        num, den = _horner(self._num, images, _guards(width))
-        return _normalised(num, den * self._den, width)
+        return _substitute_add(self, images, max((im.nvars for im in images), default=0))
 
     # -- canonical text -------------------------------------------------
 

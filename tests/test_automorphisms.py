@@ -167,6 +167,42 @@ def test_compose_and_invert_match_term_by_term_substitution():
                                             for f in letter.coordinates()]
 
 
+def _state(p: Polynomial):
+    """Everything of p that an operation could disturb in place."""
+    return dict(p._num), p._den, str(p), hash(p)
+
+
+def test_operations_leave_their_operands_unchanged():
+    # constant tails in every position, a nonzero constant first tail,
+    # Fraction lambdas (so the scaled addend needs a rescaled result) and
+    # integer ones (so it is added into the evaluated tail as is)
+    rng = Random(216)
+    maps = [make(3, (1, Fraction(1, 2), -1), (Fraction(5, 2), 3, x1 ** 2)),
+            make(3, (2, 1, 1), (-1, Fraction(1, 3), Fraction(-7, 4))),
+            make(3, (1, 1, 3), (0, x1, 0)),
+            shear_tower()]
+    maps += [_fraction_map_4_3(rng) for _ in range(3)]
+    maps += [random_aut(rng, n=4, m=3, density=0.3) for _ in range(3)]
+    polys = [Polynomial.constant(Fraction(3, 2), 3), Polynomial.zero(3),
+             Fraction(1, 2) * x1 * x2 - 3 * x3 ** 2 + 1]
+    images = [Fraction(-2, 3) * x2, x1 + x3, Polynomial.constant(4, 3)]
+    for phi in maps:
+        for psi in maps:
+            if psi.n != phi.n:
+                continue
+            before = [_state(p) for p in phi.tails + psi.tails]
+            compose(phi, psi)
+            assert [_state(p) for p in phi.tails + psi.tails] == before
+        before = [_state(p) for p in phi.tails]
+        compose(phi, phi)
+        invert(phi)
+        assert [_state(p) for p in phi.tails] == before
+    for p in polys:
+        before = [_state(q) for q in [p] + images]
+        p.substitute(images)
+        assert [_state(q) for q in [p] + images] == before
+
+
 def test_group_laws_on_random_triples():
     rng = Random(200)
     for _ in range(60):

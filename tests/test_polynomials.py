@@ -15,7 +15,7 @@ from triaut.polynomials import (
     term_order_key,
 )
 
-from helpers import (nonzero_polynomial, random_polynomial, to_sympy,
+from helpers import (nonzero_polynomial, random_polynomial, reference_substitute, to_sympy,
                      wide_rational_polynomial)
 
 x1 = Polynomial.variable(1)
@@ -154,6 +154,27 @@ def test_ambient_dimension_must_be_an_int():
     assert Polynomial({(1, 0): 1}, nvars=2).terms == {(1, 0): 1}
 
 
+def test_variable_index_must_be_an_int():
+    for index in (True, False, 2.0, Fraction(1), "1"):
+        with pytest.raises(TypeError):
+            Polynomial.variable(index, 2)
+    with pytest.raises(ValueError):
+        Polynomial.variable(0, 2)
+    assert Polynomial.variable(2, 3) == x2
+
+
+def test_bool_is_not_a_scalar_for_equality():
+    # an equality test answers False (bool is rejected as a scalar, see
+    # test_bool_scalars_rejected) instead of raising
+    one, zero = Polynomial.one(), Polynomial.zero(2)
+    assert not one == True
+    assert one != True
+    assert not True == one
+    assert not zero == False
+    assert one not in [True]
+    assert one in [True, 1]
+
+
 def test_bool_exponents_rejected():
     with pytest.raises(ValueError):
         Polynomial({(True,): 1})
@@ -286,6 +307,52 @@ def test_substitution_overflow_raises_instead_of_spilling():
     inner = make(3, (1, 1, 1), (0, Polynomial.monomial(1, (30000,), 3), 0))
     with pytest.raises(ValueError):
         compose(outer, inner)
+
+
+def _oracle_monomial_images(rng: Random, nvars: int):
+    """Images x_v -> c * x_w^k with a Fraction c and w != v, often w > v,
+    so that the parts of a polynomial split on x_v land on colliding keys."""
+    images = []
+    for v in range(1, nvars + 1):
+        w = rng.choice([u for u in range(1, nvars + 1) if u != v])
+        c = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2, 3, 4]))
+        images.append(Polynomial.monomial(c, [rng.randint(0, 3) if u == w else 0
+                                              for u in range(1, nvars + 1)], nvars))
+    return images
+
+
+def test_one_term_images_match_the_term_by_term_oracle():
+    rng = Random(110)
+    for _ in range(60):
+        nvars = rng.randint(2, 4)
+        p = random_polynomial(rng, nvars, 4, density=0.4)
+        images = _oracle_monomial_images(rng, nvars)
+        if rng.random() < 0.3:  # one general image among the one-term ones
+            images[rng.randrange(nvars)] = random_polynomial(rng, nvars, 2, density=0.5)
+        assert p.substitute(images) == reference_substitute(p, images)
+    # parts on x2 collide after the shift: x2 -> x1, so x1*x2 and x1^2 meet
+    p = x1 * x2 - x1 ** 2 + Fraction(1, 3) * x2 ** 2
+    assert p.substitute([x1, x1]) == Fraction(1, 3) * x1 ** 2
+    # x1 -> 3/2 x2^2, x2 -> -x1/2: both one-term images, w > v and w < v
+    images = [Fraction(3, 2) * x2 ** 2, -x1 / 2]
+    p = x1 ** 2 * x2 + 4 * x2 ** 3 - x1
+    assert p.substitute(images) == reference_substitute(p, images)
+
+
+def test_one_term_image_exponent_boundary():
+    top = 2 ** EXPONENT_BITS - 1  # 65535 = 3 * 21845 = 5 * 13107
+    c = Fraction(-2, 3)
+    assert (x1 ** 3).substitute([c * x2 ** 21845, x2]) == c ** 3 * x2 ** top
+    assert (x1 ** 5 * x2).substitute([x2 ** 13107, x1]) == \
+        Polynomial({(1, top): 1})
+    with pytest.raises(ValueError):  # 4 * 16384 = 2**16 sets the guard bit
+        (x1 ** 4).substitute([c * x2 ** 16384, x2])
+    with pytest.raises(ValueError):  # a sum of shifted keys reaches 2**16
+        (x1 ** (top - 1) * x2).substitute([x1, x1 ** 2])
+    with pytest.raises(ValueError):  # 5 * 30000 >= 2**17 carries past the guard bit
+        (x1 ** 5).substitute([x2 ** 30000, x2])
+    # a part that evaluates to 0 is never shifted, so it cannot overflow
+    assert (x1 * x2 ** 5).substitute([Polynomial.zero(2), x1 ** 30000]) == 0
 
 
 # -- the terms view --------------------------------------------------------------
