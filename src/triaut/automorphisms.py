@@ -9,6 +9,19 @@ such tuple is invertible, so validity is a shape check, not a Jacobian
 computation.  Composition substitutes the inner tuple into the outer
 coordinates: compose(outer, inner) applies `inner` first.
 
+The inverse psi of phi is triangular too, with psi_i = lambda_i^{-1} x_i +
+k_i(psi_1, ..., psi_{i-1}) for k_i = -h_i / lambda_i.  An `invert` result
+keeps these k_i, its *nested form*, in a private slot.  Expanded, its
+tails can reach degree m^(n-1) for a map of degree m (Bass, Connell &
+Wright, Bull. AMS 7, 1982), while the k_i keep the forward map's degree.
+So `compose` with an inverse as the outer map back-substitutes: it
+evaluates k_j at the result's own earlier coordinates, one coordinate at
+a time, and `invert` is that same loop run against the identity.  The
+nested form plays no part in `==`, `hash` or the text forms, and nothing
+is cached: a map built by `make` from an inverse's lambdas and tails
+composes to the same result by the expanded route.  `compose` returns
+the other operand when one of them is the identity.
+
 Degrees of compositions can exceed the degrees of the factors; tracking
 exactly how far they can grow is the point of the degree fuzz harness
 (see triaut.harness).
@@ -35,9 +48,14 @@ from .polynomials import (
 
 
 class TriangularAutomorphism:
-    """A validated triangular tuple; immutable after construction."""
+    """A validated triangular tuple; immutable after construction.
 
-    __slots__ = ("n", "lambdas", "tails")
+    An `invert` result also carries its nested form in `_nested` (see the
+    module docstring); every other map has None there.  It is private and
+    plays no part in `==`, `hash` or the text forms.
+    """
+
+    __slots__ = ("n", "lambdas", "tails", "_nested")
 
     def __init__(self, n: int, lambdas: Sequence, tails: Sequence):
         tails = _triangular(n, tails, "tails", "tail of coordinate {}")
@@ -50,6 +68,7 @@ class TriangularAutomorphism:
         self.n = n
         self.lambdas = lambdas
         self.tails = tails
+        self._nested = None
 
     # -- views -----------------------------------------------------------
 
@@ -109,6 +128,20 @@ def make(n: int, lambdas: Sequence, tails: Sequence) -> TriangularAutomorphism:
     return TriangularAutomorphism(n, lambdas, tails)
 
 
+def _trusted(n: int, lambdas: Sequence[Scalar],
+             tails: Sequence[Polynomial]) -> TriangularAutomorphism:
+    """A map built from kernel output, without the `_triangular` check: the
+    tails are triangular polynomials in ambient n by construction and the
+    lambdas nonzero.  The lambdas are normalised (Fraction(1, 2) * 2 is
+    the int 1)."""
+    phi = object.__new__(TriangularAutomorphism)
+    phi.n = n
+    phi.lambdas = tuple(as_scalar(lam) for lam in lambdas)
+    phi.tails = tuple(tails)
+    phi._nested = None
+    return phi
+
+
 def identity(n: int) -> TriangularAutomorphism:
     return TriangularAutomorphism(n, (1,) * n, (Polynomial.zero(n),) * n)
 
@@ -123,9 +156,21 @@ def compose(outer: TriangularAutomorphism,
     substitution kernel (`polynomials._substitute_add`): one numerator
     dict, normalised once; where p'_j is 0 and lambda'_j is 1 it is p_j
     itself.
+
+    An outer map from `invert` is applied through its nested form instead
+    (see `_back_substitute`): the small forward tails are evaluated at the
+    result's own earlier coordinates, not its expanded tails at the inner
+    coordinates.  When either operand is the identity the other one is
+    returned as is, as `p * 1 is p` for polynomials.
     """
     if outer.n != inner.n:
         raise ValueError(f"dimension mismatch: {outer.n} vs {inner.n}")
+    if outer.is_identity():
+        return inner
+    if inner.is_identity():
+        return outer
+    if outer._nested is not None:
+        return _back_substitute(outer.lambdas, outer._nested, inner)
     n = outer.n
     coords = inner.coordinates()
     lambdas = []
@@ -134,28 +179,47 @@ def compose(outer: TriangularAutomorphism,
         lam = outer.lambdas[j]
         lambdas.append(lam * inner.lambdas[j])
         tails.append(_substitute_add(outer.tails[j], coords, n, lam, inner.tails[j]))
-    return TriangularAutomorphism(n, lambdas, tails)
+    return _trusted(n, lambdas, tails)
 
 
 def invert(phi: TriangularAutomorphism) -> TriangularAutomorphism:
     """Two-sided inverse, computed by back-substitution.
 
-    Coordinate i of the inverse is lambda_i^{-1} (x_i - h_i(g_1, ..., g_{i-1}))
-    where g_1, ..., g_{i-1} are the already-computed earlier coordinates.
-    The tail, (-h_i / lambda_i)(g_1, ..., g_{i-1}), is one call of the
-    substitution kernel (`polynomials._substitute_add`), the small h_i
-    scaled before it is evaluated; g_i is that tail with its linear term
-    added to the tail's own numerator dict.
+    Coordinate i of the inverse is psi_i = lambda_i^{-1} x_i + k_i(psi_1,
+    ..., psi_{i-1}) with k_i = -h_i / lambda_i: the inverse's nested form,
+    applied to the identity by `_back_substitute`.  The result keeps the
+    nested form, so that `compose` with it as the outer map evaluates the
+    small k_i, not the inverse's expanded tails, whose degree can reach
+    m^(n-1) for a forward map of degree m.
     """
-    n = phi.n
     inv_lambdas = [scalar_inverse(lam) for lam in phi.lambdas]
+    nested = tuple(h * -mu for h, mu in zip(phi.tails, inv_lambdas))
+    psi = _back_substitute(inv_lambdas, nested, identity(phi.n))
+    psi._nested = nested
+    return psi
+
+
+def _back_substitute(mus: Sequence[Scalar], nested: Sequence[Polynomial],
+                     inner: TriangularAutomorphism) -> TriangularAutomorphism:
+    """psi . inner for psi with diagonal `mus` and nested form `nested`.
+
+    Coordinate j of the result T is psi_j(inner) = mu_j inner_j +
+    k_j(T_1, ..., T_{j-1}), as psi_i(inner) = T_i for i < j: its tail,
+    k_j(T_1, ..., T_{j-1}) + mu_j p_j, is one call of the substitution
+    kernel on the result's own earlier coordinates.
+    """
+    n = inner.n
     solved: list[Polynomial] = []
+    lambdas = []
     tails = []
-    for i in range(n):
-        inv_tail = _substitute_add(phi.tails[i] * -inv_lambdas[i], solved, n)
-        tails.append(inv_tail)
-        solved.append(_coordinate(inv_lambdas[i], i + 1, inv_tail))
-    return TriangularAutomorphism(n, inv_lambdas, tails)
+    for j in range(n):
+        mu = mus[j]
+        lam = mu * inner.lambdas[j]
+        tail = _substitute_add(nested[j], solved, n, mu, inner.tails[j])
+        lambdas.append(lam)
+        tails.append(tail)
+        solved.append(_coordinate(lam, j + 1, tail))
+    return _trusted(n, lambdas, tails)
 
 
 def power(phi: TriangularAutomorphism, k: int) -> TriangularAutomorphism:

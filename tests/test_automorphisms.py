@@ -89,9 +89,12 @@ def test_squaring_the_shear_tower_reaches_degree_four():
 
 
 def test_compose_with_identity():
-    phi = shear_tower()
-    assert compose(identity(3), phi) == phi
-    assert compose(phi, identity(3)) == phi
+    # the other operand comes back as is, an inverse with its nested form
+    rng = Random(223)
+    for phi in [shear_tower(), invert(shear_tower())] + [
+            invert(_fraction_lambda_map(rng, n, 3)) for n in range(1, 5)]:
+        assert compose(identity(phi.n), phi) is phi
+        assert compose(phi, identity(phi.n)) is phi
 
 
 def test_compose_dimension_mismatch():
@@ -224,6 +227,68 @@ def test_inverse_round_trip_and_degree_bound():
         assert compose(phi, inv) == identity(n)
         assert compose(inv, phi) == identity(n)
         assert inv.degree() <= m ** (n - 1)
+
+
+def _fraction_lambda_map(rng: Random, n: int, m: int):
+    """An (n, m) map whose lambdas are all non-integral Fractions."""
+    lambdas = [Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.choice((2, 3))) for _ in range(n)]
+    tails = [random_polynomial(rng, i, m, density=0.4).promoted(n) for i in range(n)]
+    return make(n, lambdas, tails)
+
+
+def test_inverse_from_either_side_of_fraction_lambda_maps():
+    rng = Random(220)
+    for _ in range(40):
+        n, m = rng.randint(1, 4), rng.randint(1, 3)
+        phi = _fraction_lambda_map(rng, n, m)
+        inv = invert(phi)
+        assert compose(inv, phi) == identity(n)
+        assert compose(phi, inv) == identity(n)
+
+
+def test_compose_through_the_nested_form_equals_the_expanded_inverse():
+    rng = Random(221)
+    for _ in range(40):
+        n, m = rng.randint(1, 4), rng.randint(1, 3)
+        psi = invert(_fraction_lambda_map(rng, n, m))
+        expanded = make(n, psi.lambdas, psi.tails)
+        assert psi._nested is not None and expanded._nested is None
+        # a plain inner map, an inverse (itself carrying a nested form) and
+        # a composition of the two
+        plain = random_aut(rng, n=n, m=m)
+        for inner in (plain, invert(plain), compose(plain, psi)):
+            assert compose(psi, inner) == compose(expanded, inner)
+
+
+def test_the_nested_form_is_invisible():
+    rng = Random(222)
+    for _ in range(20):
+        n = rng.randint(1, 4)
+        psi = invert(_fraction_lambda_map(rng, n, rng.randint(1, 3)))
+        expanded = make(n, psi.lambdas, psi.tails)
+        assert psi == expanded and hash(psi) == hash(expanded)
+        assert len({psi, expanded}) == 1
+        assert psi.to_text() == expanded.to_text() and repr(psi) == repr(expanded)
+
+
+def test_composed_lambdas_stay_normalised():
+    half = make(1, (Fraction(1, 2),), (0,))
+    double = make(1, (2,), (1,))
+    for phi in (compose(half, double), compose(double, half), compose(invert(double), double)):
+        [lam] = phi.lambdas
+        assert lam == 1 and type(lam) is int
+    [lam] = invert(half).lambdas
+    assert lam == 2 and type(lam) is int
+
+
+def test_compose_through_an_inverse_overflow_raises():
+    # the inverse's nested form -x2^5 is evaluated at the result's own
+    # coordinate x2 + x1^30000: x1^150000 must raise, not carry into x2
+    psi = invert(make(3, (1, 1, 1), (0, 0, Polynomial.monomial(1, (0, 5), 3))))
+    assert psi._nested is not None
+    inner = make(3, (1, 1, 1), (0, Polynomial.monomial(1, (30000,), 3), 0))
+    with pytest.raises(ValueError):
+        compose(psi, inner)
 
 
 def test_power_negative_and_zero():
