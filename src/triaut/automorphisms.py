@@ -38,6 +38,7 @@ from .polynomials import (
     Monomial,
     Polynomial,
     Scalar,
+    _checked_index,
     _coordinate,
     _substitute_add,
     as_scalar,
@@ -74,8 +75,7 @@ class TriangularAutomorphism:
 
     def coordinate(self, i: int) -> Polynomial:
         """The coordinate polynomial f_i = lambda_i x_i + h_i (1-based)."""
-        if i < 1 or i > self.n:
-            raise ValueError(f"coordinate index {i} out of range 1..{self.n}")
+        _checked_index(i, 1, self.n, "coordinate index")
         return _coordinate(self.lambdas[i - 1], i, self.tails[i - 1])
 
     def coordinates(self) -> list[Polynomial]:
@@ -98,8 +98,7 @@ class TriangularAutomorphism:
 
     def fixes_prefix(self, s: int) -> bool:
         """True iff f_i = x_i for all i <= s."""
-        if s < 0 or s > self.n:
-            raise ValueError(f"prefix length {s} out of range 0..{self.n}")
+        _checked_index(s, 0, self.n, "prefix length")
         return all(self.lambdas[i] == 1 and not self.tails[i] for i in range(s))
 
     def __eq__(self, other) -> bool:
@@ -223,7 +222,10 @@ def _back_substitute(mus: Sequence[Scalar], nested: Sequence[Polynomial],
 
 
 def power(phi: TriangularAutomorphism, k: int) -> TriangularAutomorphism:
-    """k-fold composition of phi with itself; negative k uses the inverse."""
+    """k-fold composition of phi with itself; negative k uses the inverse.
+    k must be an int (not bool), else TypeError."""
+    if type(k) is not int:
+        raise TypeError(f"power exponent must be an int, not {type(k).__name__}")
     if k < 0:
         return power(invert(phi), -k)
     result = identity(phi.n)
@@ -244,7 +246,8 @@ def commutator(phi: TriangularAutomorphism,
 
 
 def elementary_scaling(n: int, i: int, lam) -> TriangularAutomorphism:
-    """(x_1, ..., lam * x_i, ..., x_n)."""
+    """(x_1, ..., lam * x_i, ..., x_n) for an int i in 1..n."""
+    _checked_index(i, 1, n, "coordinate index")
     lambdas = [1] * n
     lambdas[i - 1] = lam
     return TriangularAutomorphism(n, lambdas, (Polynomial.zero(n),) * n)
@@ -252,7 +255,8 @@ def elementary_scaling(n: int, i: int, lam) -> TriangularAutomorphism:
 
 def elementary_shear(n: int, i: int, coeff, exponents: Monomial) -> TriangularAutomorphism:
     """(x_1, ..., x_i + coeff * x^exponents, ..., x_n) with x^exponents
-    supported on x_1..x_{i-1}."""
+    supported on x_1..x_{i-1}, for an int i in 1..n."""
+    _checked_index(i, 1, n, "coordinate index")
     tails = [Polynomial.zero(n)] * n
     tails[i - 1] = Polynomial.monomial(coeff, exponents, n)
     return TriangularAutomorphism(n, (1,) * n, tails)

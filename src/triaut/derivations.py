@@ -11,10 +11,11 @@ formal power series.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from random import Random
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .automorphisms import TriangularAutomorphism, _random_tails, _triangular
+from .automorphisms import TriangularAutomorphism, _random_tails, _triangular, _trusted, identity
 from .errors import CapExceededError
 from .polynomials import Polynomial, as_scalar
 
@@ -28,12 +29,13 @@ class TriangularDerivation:
         self.n = n
 
     def apply(self, p: Polynomial) -> Polynomial:
-        """D(p) = sum_i g_i * dp/dx_i."""
-        if p.max_variable() > self.n:
-            raise ValueError(f"polynomial mentions x{p.max_variable()}, beyond n={self.n}")
+        """D(p) = sum_i g_i * dp/dx_i, for i up to p's top variable only."""
+        top = p.max_variable()
+        if top > self.n:
+            raise ValueError(f"polynomial mentions x{top}, beyond n={self.n}")
         p = p.promoted(self.n)
         total = Polynomial.zero(self.n)
-        for i, g in enumerate(self.coeffs, start=1):
+        for i, g in enumerate(self.coeffs[:top], start=1):
             if g:
                 dp = p.partial(i)
                 if dp:
@@ -89,7 +91,9 @@ def make_derivation(n: int, coeffs: Sequence) -> TriangularDerivation:
 def bracket(d1: TriangularDerivation, d2: TriangularDerivation) -> TriangularDerivation:
     """Lie bracket [D1, D2] = D1 D2 - D2 D1, itself triangular.
 
-    Its i-th coefficient is D1(g2_i) - D2(g1_i).
+    Its k-th coefficient is D1(b_k) - D2(a_k) for a = d1's and b = d2's
+    coefficients; as a_k, b_k involve x_<k only, `apply` takes just the
+    partials by x_1..x_{k-1}.
     """
     if d1.n != d2.n:
         raise ValueError(f"dimension mismatch: {d1.n} vs {d2.n}")
@@ -113,12 +117,23 @@ def _weights(derivations: Sequence[TriangularDerivation], n: int) -> list[int]:
     return weights
 
 
+def _iterates(d: TriangularDerivation, p: Polynomial, cap: int) -> Iterator[Polynomial]:
+    """p, D(p), D^2(p), ... while nonzero, at most `cap` of them; the cap
+    comes from `_weights`, so a nonzero D^cap(p) is a property violation."""
+    for _ in range(cap):
+        if not p:
+            return
+        yield p
+        p = d.apply(p)
+    if p:
+        raise CapExceededError(f"D^{cap}(p) is nonzero, beyond the weighted-degree bound")
+
+
 def nilpotency_index(d: TriangularDerivation, p: Polynomial) -> int:
     """Least k with D^k(p) = 0; 0 for the zero polynomial.
 
-    D lowers weighted degree by at least 1 (see `_weights`), so the index
-    is at most wdeg(p) + 1; surviving that many applications is a
-    property violation.
+    The index is the number of nonzero iterates of p, at most wdeg(p) + 1
+    (see `_weights`).
     """
     if not isinstance(p, Polynomial):
         p = Polynomial.constant(p)
@@ -126,44 +141,27 @@ def nilpotency_index(d: TriangularDerivation, p: Polynomial) -> int:
         return 0
     weights = _weights([d], d.n)
     cap = 1 + max(sum(e * w for e, w in zip(key, weights)) for key in p.terms)
-    for k in range(1, cap + 1):
-        p = d.apply(p)
-        if not p:
-            return k
-    raise CapExceededError(f"D^k(p) survived the nilpotency bound {cap}")
+    return sum(1 for _ in _iterates(d, p, cap))
 
 
 def exponential(d: TriangularDerivation, s) -> TriangularAutomorphism:
     """exp(s*D): the unitriangular automorphism x_i -> sum_k s^k D^k(x_i) / k!.
 
-    The sum is finite and exact: D^k(x_i) = 0 for k > w_i (see
-    `_weights`), s is a rational scalar and factorials are computed
-    exactly.  A coordinate whose series outruns its w_i + 1 terms is a
-    property violation.
+    The sum is finite and exact: D^k(x_i) = D^(k-1)(g_i) for g_i = D(x_i)
+    is 0 for k > w_i (see `_weights`), and s^k / k! is a rational scalar.
+    The tails are triangular by construction.
     """
     s = as_scalar(s)
     n = d.n
+    if not s:
+        return identity(n)
     weights = _weights([d], n)
     tails = []
-    for i in range(1, n + 1):
-        term = d.coeffs[i - 1]  # D(x_i)
-        tail = Polynomial.zero(n)
-        k = 1
-        factorial = 1
-        s_power = s
-        while term:
-            if k > weights[i - 1]:
-                raise CapExceededError(
-                    f"series for coordinate {i} outran its {weights[i - 1] + 1} terms")
-            if s_power:
-                coeff = as_scalar(Fraction(s_power) / factorial)
-                tail = tail + term * coeff
-            term = d.apply(term)
-            k += 1
-            factorial *= k
-            s_power = s_power * s
-        tails.append(tail)
-    return TriangularAutomorphism(n, (1,) * n, tails)
+    for g, w in zip(d.coeffs, weights):
+        series = enumerate(_iterates(d, g, w), start=1)
+        tails.append(sum((term * Fraction(s ** k, factorial(k)) for k, term in series),
+                         Polynomial.zero(n)))
+    return _trusted(n, (1,) * n, tails)
 
 
 def random_triangular_derivation(n: int, max_degree: int, seed=None, density: float = 0.4,

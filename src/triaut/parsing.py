@@ -21,64 +21,58 @@ print -> parse -> print is a fixed point byte for byte.
 from __future__ import annotations
 
 import re
+from itertools import groupby
+from typing import Iterable
 
 from .automorphisms import TriangularAutomorphism
 from .derivations import TriangularDerivation
 from .errors import ParseError
 from .polynomials import Polynomial
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|x(\d+)|([+\-*/^()])|(\S))")
+_TOKEN_RE = re.compile(r"\s*((\d+)|x(\d+)|([+\-*/^()])|(\S))")
 
 
 class _Token:
-    __slots__ = ("kind", "value", "line", "col")
+    __slots__ = ("kind", "value", "offset")
 
-    def __init__(self, kind, value, line, col):
+    def __init__(self, kind, value, offset):
         self.kind = kind      # "int", "var", or the operator character
         self.value = value
-        self.line = line
-        self.col = col
-
-
-def _tokenize(text: str, line_offset: int = 0) -> list[_Token]:
-    tokens = []
-    line = 1 + line_offset
-    col = 1
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            break
-        for ch in text[pos:match.end()]:
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-        number, var, op, junk = match.groups()
-        lexeme = match.group().lstrip()
-        tok_col = col - len(lexeme)
-        if number is not None:
-            tokens.append(_Token("int", int(number), line, tok_col))
-        elif var is not None:
-            index = int(var)
-            if index < 1:
-                raise ParseError("variable index must be at least 1", line, tok_col)
-            tokens.append(_Token("var", index, line, tok_col))
-        elif op is not None:
-            tokens.append(_Token(op, op, line, tok_col))
-        else:
-            raise ParseError(f"unexpected character {junk!r}", line, tok_col)
-        pos = match.end()
-    return tokens
+        self.offset = offset  # index of the token's first character in the text
 
 
 class _ExprParser:
-    def __init__(self, tokens: list[_Token], line: int, end_col: int):
-        self.tokens = tokens
+    """Recursive descent over the tokens of `text`, which begins at file
+    position `start` = (line, col); tokens keep their offset in the text,
+    and an error converts it to a file position."""
+
+    def __init__(self, text: str, start: tuple[int, int]):
+        self.text = text
+        self.start = start
+        self.tokens = [self._token(match) for match in _TOKEN_RE.finditer(text)]
         self.pos = 0
-        self.line = line
-        self.end_col = end_col
+
+    def _error(self, message: str, offset: int) -> ParseError:
+        line, col = self.start
+        newlines = self.text.count("\n", 0, offset)
+        if newlines:
+            line, col = line + newlines, offset - self.text.rfind("\n", 0, offset)
+        else:
+            col += offset
+        return ParseError(message, line, col)
+
+    def _token(self, match: re.Match) -> _Token:
+        _, number, var, op, junk = match.groups()
+        offset = match.start(1)
+        if number is not None:
+            return _Token("int", int(number), offset)
+        if var is not None:
+            if int(var) < 1:
+                raise self._error("variable index must be at least 1", offset)
+            return _Token("var", int(var), offset)
+        if op is not None:
+            return _Token(op, op, offset)
+        raise self._error(f"unexpected character {junk!r}", offset)
 
     def _peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -86,14 +80,14 @@ class _ExprParser:
     def _next(self, expected: str) -> _Token:
         tok = self._peek()
         if tok is None:
-            raise ParseError(f"expected {expected}, found end of input",
-                             self.line, self.end_col)
+            raise self._error(f"expected {expected}, found end of input",
+                              len(self.text.rstrip()))
         self.pos += 1
         return tok
 
     def _fail(self, tok: _Token, expected: str):
         shown = f"x{tok.value}" if tok.kind == "var" else str(tok.value)
-        raise ParseError(f"expected {expected}, found {shown!r}", tok.line, tok.col)
+        raise self._error(f"expected {expected}, found {shown!r}", tok.offset)
 
     def parse(self) -> Polynomial:
         poly = self.poly()
@@ -133,7 +127,7 @@ class _ExprParser:
                 if divisor.kind != "int":
                     self._fail(divisor, "an integer divisor")
                 if divisor.value == 0:
-                    raise ParseError("division by zero", divisor.line, divisor.col)
+                    raise self._error("division by zero", divisor.offset)
                 result = result / divisor.value
 
     def factor(self) -> Polynomial:
@@ -159,12 +153,10 @@ class _ExprParser:
         self._fail(tok, "a number, variable, or '('")
 
 
-def parse_polynomial(text: str, line_offset: int = 0) -> Polynomial:
-    """Parse one polynomial expression; the whole text must be consumed."""
-    tokens = _tokenize(text, line_offset)
-    lines = text.splitlines() or [""]
-    parser = _ExprParser(tokens, line_offset + len(lines), len(lines[-1]) + 1)
-    return parser.parse()
+def parse_polynomial(text: str) -> Polynomial:
+    """Parse one polynomial expression; the whole text must be consumed.
+    Error positions count from line 1, col 1 of the text."""
+    return _ExprParser(text, (1, 1)).parse()
 
 
 _HEADER_RE = re.compile(r"^n\s*=\s*(\d+)$")
@@ -175,15 +167,17 @@ _AUTOMORPHISM_FILE = ("x", "->", "coordinate", re.compile(r"^x(\d+)\s*->\s*(.*)$
 _DERIVATION_FILE = ("dx", "<-", "coefficient", re.compile(r"^dx(\d+)\s*<-\s*(.*)$"))
 
 
-def _coordinate_file(text: str, file_format) -> tuple[int, list[Polynomial]]:
+def _coordinate_file(lines: Iterable[tuple[int, str]],
+                     file_format) -> tuple[int, list[Polynomial]]:
     """(n, [polynomial of line i for i = 1..n]) from the header "n=<int>"
-    and the n lines that follow it in order; blank lines are skipped."""
+    and the n lines that follow it in order, given as (file line number,
+    line) pairs; blank lines are skipped."""
     prefix, arrow, kind, line_re = file_format
-    lines = [(num, line.strip()) for num, line in enumerate(text.splitlines(), start=1)
-             if line.strip()]
+    lines = [(num, line) for num, line in lines if line.strip()]
     if not lines:
         raise ParseError("empty input; expected a header line 'n=<int>'")
     num, first = lines[0]
+    first = first.strip()
     match = _HEADER_RE.match(first)
     if match is None:
         raise ParseError(f"expected header 'n=<int>', found {first!r}", num, 1)
@@ -194,7 +188,8 @@ def _coordinate_file(text: str, file_format) -> tuple[int, list[Polynomial]]:
         raise ParseError(f"expected {n} '{prefix}<i> {arrow} <polynomial>' lines "
                          f"after the header, found {len(lines) - 1}")
     polys = []
-    for i, (num, line) in enumerate(lines[1:], start=1):
+    for i, (num, raw) in enumerate(lines[1:], start=1):
+        line = raw.strip()
         match = line_re.match(line)
         if match is None:
             raise ParseError(f"expected '{prefix}{i} {arrow} <polynomial>', found {line!r}",
@@ -203,13 +198,15 @@ def _coordinate_file(text: str, file_format) -> tuple[int, list[Polynomial]]:
         if index != i:
             raise ParseError(f"{kind} lines must appear in order; expected "
                              f"{prefix}{i}, found {prefix}{index}", num, 1)
-        polys.append(parse_polynomial(match.group(2), line_offset=num - 1))
+        col = len(raw) - len(raw.lstrip()) + match.start(2) + 1
+        polys.append(_ExprParser(match.group(2), (num, col)).parse())
     return n, polys
 
 
 def parse_automorphism(text: str) -> TriangularAutomorphism:
     """Parse the automorphism file format and validate triangularity."""
-    n, coordinates = _coordinate_file(text, _AUTOMORPHISM_FILE)
+    n, coordinates = _coordinate_file(enumerate(text.splitlines(), start=1),
+                                      _AUTOMORPHISM_FILE)
     lambdas = []
     tails = []
     for i, f in enumerate(coordinates, start=1):
@@ -222,12 +219,17 @@ def parse_automorphism(text: str) -> TriangularAutomorphism:
 
 def parse_derivation(text: str) -> TriangularDerivation:
     """Parse the derivation file format and validate triangularity."""
-    return TriangularDerivation(*_coordinate_file(text, _DERIVATION_FILE))
+    return TriangularDerivation(*_coordinate_file(enumerate(text.splitlines(), start=1),
+                                                  _DERIVATION_FILE))
 
 
 def parse_derivation_blocks(text: str) -> list[TriangularDerivation]:
-    """Parse a file of derivation blocks separated by blank lines."""
-    blocks = [block for block in re.split(r"\n\s*\n", text) if block.strip()]
+    """Parse a file of derivation blocks separated by blank lines; error
+    positions are the file's."""
+    lines = enumerate(text.splitlines(), start=1)
+    blocks = [list(block) for blank, block in groupby(lines, lambda line: not line[1].strip())
+              if not blank]
     if not blocks:
         raise ParseError("no derivation blocks found")
-    return [parse_derivation(block) for block in blocks]
+    return [TriangularDerivation(*_coordinate_file(block, _DERIVATION_FILE))
+            for block in blocks]

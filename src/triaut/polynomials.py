@@ -174,6 +174,15 @@ def _ambient(nvars, width: int) -> int:
     return nvars
 
 
+def _checked_index(value, low: int, high: int, what: str) -> None:
+    """Raise unless `value` is an int (not bool, TypeError) in low..high
+    (ValueError): Python's negative indexing must not pick an entry."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an int, not {type(value).__name__}")
+    if not low <= value <= high:
+        raise ValueError(f"{what} {value} out of range {low}..{high}")
+
+
 def _make(num: dict[int, int], den: int, nvars: int) -> "Polynomial":
     # num and den already normalised; num may be shared, as no polynomial
     # mutates its dict.
@@ -572,8 +581,7 @@ class Polynomial:
 
     def partial(self, index: int) -> "Polynomial":
         """Formal partial derivative with respect to x_index (1-based)."""
-        if index < 1 or index > self.nvars:
-            raise ValueError(f"variable index {index} out of range 1..{self.nvars}")
+        _checked_index(index, 1, self.nvars, "variable index")
         shift = _SHIFT * (index - 1)
         unit = 1 << shift
         out: dict[int, int] = {}

@@ -8,6 +8,7 @@ from triaut.automorphisms import (
     compose,
     compose_all,
     elementary_factorization,
+    elementary_scaling,
     elementary_shear,
     identity,
     invert,
@@ -312,6 +313,43 @@ def test_fixes_prefix():
     assert not phi.fixes_prefix(1)
     with pytest.raises(ValueError):
         phi.fixes_prefix(3)
+
+
+def test_indices_and_exponents_must_be_ints():
+    # True is not 1 and 2.0 is not 2 at any index or exponent of the map API
+    phi = shear_tower()
+    for bad in (True, False, 1.0, Fraction(1), "1"):
+        with pytest.raises(TypeError):
+            phi.coordinate(bad)
+        with pytest.raises(TypeError):
+            phi.fixes_prefix(bad)
+        with pytest.raises(TypeError):
+            power(phi, bad)
+    with pytest.raises(TypeError):
+        power(phi, 2.0)
+    for i in (0, 4, -1):
+        with pytest.raises(ValueError):
+            phi.coordinate(i)
+    with pytest.raises(ValueError):
+        phi.fixes_prefix(-1)
+
+
+def test_elementary_factors_check_their_index():
+    # negative indexing would scale or shear another coordinate
+    for n, i in ((3, 0), (3, -1), (2, 3)):
+        with pytest.raises(ValueError):
+            elementary_scaling(n, i, 2)
+    with pytest.raises(ValueError):
+        elementary_shear(3, -1, 1, (1, 0, 0))
+    with pytest.raises(ValueError):
+        elementary_shear(3, 4, 1, (1, 0, 0))
+    for bad in (True, 2.0, "2"):
+        with pytest.raises(TypeError):
+            elementary_scaling(3, bad, 2)
+        with pytest.raises(TypeError):
+            elementary_shear(3, bad, 1, (1, 0, 0))
+    assert elementary_scaling(3, 2, 5).lambdas == (1, 5, 1)
+    assert elementary_shear(3, 3, 1, (0, 2, 0)).tails[2] == x2 ** 2
 
 
 def test_commutator_trivial_cases():

@@ -3,6 +3,7 @@ from random import Random
 
 import pytest
 
+from triaut import derivations
 from triaut.automorphisms import compose, identity, invert
 from triaut.derivations import (
     bracket,
@@ -11,7 +12,7 @@ from triaut.derivations import (
     nilpotency_index,
     random_triangular_derivation,
 )
-from triaut.errors import TriangularityError
+from triaut.errors import CapExceededError, TriangularityError
 from triaut.polynomials import Polynomial
 
 from helpers import random_polynomial, to_sympy
@@ -148,6 +149,31 @@ def test_nilpotency_index_is_exact():
             for _ in range(k - 1):
                 q = d.apply(q)
             assert q
+
+
+def test_apply_differentiates_only_up_to_the_top_variable(monkeypatch):
+    # dp/dx_i is 0 above p's top variable, so those partials are not taken
+    seen = []
+    partial = Polynomial.partial
+    monkeypatch.setattr(Polynomial, "partial", lambda p, i: seen.append(i) or partial(p, i))
+    x = [Polynomial.variable(i, 3) for i in (1, 2, 3)]
+    d = make_derivation(3, [1, x[0], x[1]])
+    assert d.apply(x[0] ** 2) == 2 * x[0]
+    assert seen == [1]
+    assert d.apply(x[1] * x[0]) == x[1] + x[0] ** 2
+    assert seen == [1, 1, 2]
+
+
+def test_the_weighted_cap_is_enforced(monkeypatch):
+    # D = d/dx1 + x1^2 d/dx2 has w = [1, 3]; one less on w_2 makes both the
+    # nilpotency index of x2 (4) and the series of coordinate 2 outrun it
+    d = make_derivation(2, [1, x1 ** 2])
+    assert nilpotency_index(d, x2) == 4
+    monkeypatch.setattr(derivations, "_weights", lambda ds, n: [1, 2])
+    with pytest.raises(CapExceededError):
+        nilpotency_index(d, x2)
+    with pytest.raises(CapExceededError):
+        exponential(d, 1)
 
 
 # -- exponentials -----------------------------------------------------------

@@ -52,6 +52,9 @@ def test_syntax_errors_carry_positions():
         parse_polynomial("x1 + + x2")
     assert err.value.line == 1 and err.value.col == 6
     with pytest.raises(ParseError) as err:
+        parse_polynomial("x1 +\n  3 * $")
+    assert err.value.line == 2 and err.value.col == 7
+    with pytest.raises(ParseError) as err:
         parse_polynomial("x0")
     assert "index" in str(err.value)
     with pytest.raises(ParseError):
@@ -137,8 +140,8 @@ def test_derivation_round_trip_random():
 
 
 # (text, exception type, exact message) for both file formats: a bad header,
-# a wrong line count, a malformed line, an out-of-order line and a
-# non-triangular entry.
+# a wrong line count, a malformed line, an out-of-order line, a
+# non-triangular entry, and syntax errors at their file line and column.
 FILE_FORMAT_ERRORS = [
     (parse_automorphism, "nope\nx1 -> x1\n", ParseError,
      "line 1, col 1: expected header 'n=<int>', found 'nope'"),
@@ -167,7 +170,13 @@ FILE_FORMAT_ERRORS = [
     (parse_derivation, "", ParseError, "empty input; expected a header line 'n=<int>'"),
     (parse_derivation, "n=0\n", ParseError, "line 1, col 1: dimension must be at least 1"),
     (parse_automorphism, "n=1\nx1 -> x1 + \n", ParseError,
-     "line 2, col 5: expected a number, variable, or '(', found end of input"),
+     "line 2, col 11: expected a number, variable, or '(', found end of input"),
+    (parse_automorphism, "n=1\nx1 -> x1 + $\n", ParseError,
+     "line 2, col 12: unexpected character '$'"),
+    (parse_automorphism, "n=2\nx1 -> x1\n\n   x2  ->  x2 + (x1\n", ParseError,
+     "line 4, col 20: expected ')', found end of input"),
+    (parse_derivation_blocks, "n=1\ndx1 <- 1\n\nn=1\ndx1 <- $\n", ParseError,
+     "line 5, col 8: unexpected character '$'"),
 ]
 
 

@@ -163,6 +163,17 @@ def test_variable_index_must_be_an_int():
     assert Polynomial.variable(2, 3) == x2
 
 
+def test_partial_index_must_be_an_int():
+    # True would differentiate by x1; 2.0 would fail inside the key shift
+    p = x1 ** 2 * x2
+    for index in (True, False, 1.0, Fraction(1), "1"):
+        with pytest.raises(TypeError):
+            p.partial(index)
+    for index in (0, -1, 3):
+        with pytest.raises(ValueError):
+            p.partial(index)
+
+
 def test_bool_is_not_a_scalar_for_equality():
     # an equality test answers False (bool is rejected as a scalar, see
     # test_bool_scalars_rejected) instead of raising
