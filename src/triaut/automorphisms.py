@@ -39,6 +39,7 @@ from .polynomials import (
     Polynomial,
     Scalar,
     _checked_index,
+    _checked_int,
     _coordinate,
     _substitute_add,
     as_scalar,
@@ -224,8 +225,7 @@ def _back_substitute(mus: Sequence[Scalar], nested: Sequence[Polynomial],
 def power(phi: TriangularAutomorphism, k: int) -> TriangularAutomorphism:
     """k-fold composition of phi with itself; negative k uses the inverse.
     k must be an int (not bool), else TypeError."""
-    if type(k) is not int:
-        raise TypeError(f"power exponent must be an int, not {type(k).__name__}")
+    _checked_int(k, "power exponent")
     if k < 0:
         return power(invert(phi), -k)
     result = identity(phi.n)
@@ -247,6 +247,7 @@ def commutator(phi: TriangularAutomorphism,
 
 def elementary_scaling(n: int, i: int, lam) -> TriangularAutomorphism:
     """(x_1, ..., lam * x_i, ..., x_n) for an int i in 1..n."""
+    _checked_int(n, "ambient dimension")
     _checked_index(i, 1, n, "coordinate index")
     lambdas = [1] * n
     lambdas[i - 1] = lam
@@ -256,6 +257,7 @@ def elementary_scaling(n: int, i: int, lam) -> TriangularAutomorphism:
 def elementary_shear(n: int, i: int, coeff, exponents: Monomial) -> TriangularAutomorphism:
     """(x_1, ..., x_i + coeff * x^exponents, ..., x_n) with x^exponents
     supported on x_1..x_{i-1}, for an int i in 1..n."""
+    _checked_int(n, "ambient dimension")
     _checked_index(i, 1, n, "coordinate index")
     tails = [Polynomial.zero(n)] * n
     tails[i - 1] = Polynomial.monomial(coeff, exponents, n)
@@ -298,8 +300,11 @@ def random_triangular(n: int, m: int, seed=None, density: float = 0.4,
     """Random triangular map of degree <= m, deterministic for a fixed seed.
 
     The lambdas are drawn first, then the tails as in `_random_tails`; all
-    are uniform over `_COEFFICIENTS`.
+    are uniform over `_COEFFICIENTS`.  n and m must be ints (not bool),
+    else TypeError.
     """
+    _checked_int(n, "ambient dimension")
+    _checked_int(m, "degree bound")
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
     if rng is None:
@@ -313,8 +318,7 @@ def _triangular(n: int, polys: Sequence, noun: str, label: str) -> tuple[Polynom
     constants: p_i may mention x_1..x_{i-1} only.  The ambient n must be
     an int (not bool), else TypeError; `noun` names the entries in the
     count error and `label`, formatted with i, names entry i."""
-    if type(n) is not int:
-        raise TypeError(f"ambient dimension must be an int, not {type(n).__name__}")
+    _checked_int(n, "ambient dimension")
     if n < 1:
         raise TriangularityError("ambient dimension must be at least 1")
     if len(polys) != n:

@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 from .automorphisms import TriangularAutomorphism, _random_tails, _triangular, _trusted, identity
 from .errors import CapExceededError
-from .polynomials import Polynomial, as_scalar
+from .polynomials import Polynomial, _checked_int, as_scalar
 
 class TriangularDerivation:
     """Coefficient tuple (g_1, ..., g_n) of a triangular derivation."""
@@ -169,8 +169,11 @@ def random_triangular_derivation(n: int, max_degree: int, seed=None, density: fl
     """Random triangular derivation with coefficient degrees <= max_degree.
 
     The coefficients are sampled as the tails of
-    automorphisms.random_triangular, without the lambdas.
+    automorphisms.random_triangular, without the lambdas.  n and
+    max_degree must be ints (not bool), else TypeError.
     """
+    _checked_int(n, "ambient dimension")
+    _checked_int(max_degree, "degree bound")
     if n < 1 or max_degree < 0:
         raise ValueError("need n >= 1 and max_degree >= 0")
     if rng is None:

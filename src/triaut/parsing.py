@@ -9,10 +9,23 @@ Expression grammar (whitespace-insensitive):
     INT    := digits
 
 Division is scalar division by an integer literal only; exponents are
-non-negative integer literals.  File formats are line-oriented:
+non-negative integer literals below 2**EXPONENT_BITS, and so is every
+exponent of a term's product (else ValueError).  File formats are
+line-oriented:
 
     automorphism:  "n=<int>" then lines "x<i> -> <poly>" for i = 1..n
     derivation:    "n=<int>" then lines "dx<i> <- <poly>" for i = 1..n
+
+The parser works on the packed numerators of `triaut.polynomials`.  One
+regex splits an expression into tokens (kind, value, offset), and the
+offset becomes a (line, col) file position only when an error is raised.
+A term without parentheses is read as (numerator, denominator, packed
+key): an INT multiplies the numerator, x_i^e adds e to x_i's exponent
+field of the key and /INT multiplies the denominator.  Only a
+parenthesised factor becomes a `Polynomial`, and a term holding one is
+multiplied out by `*`.  Each expression adds its terms into one
+numerator dict over a running common denominator and is normalised
+once.
 
 The canonical printers (to_text / str) emit exactly this grammar, and
 print -> parse -> print is a fixed point byte for byte.
@@ -22,34 +35,45 @@ from __future__ import annotations
 
 import re
 from itertools import groupby
+from math import lcm
 from typing import Iterable
 
 from .automorphisms import TriangularAutomorphism
 from .derivations import TriangularDerivation
 from .errors import ParseError
-from .polynomials import Polynomial
+from .polynomials import (
+    EXPONENT_BITS,
+    Polynomial,
+    _LIMIT,
+    _SHIFT,
+    _add_into,
+    _normalised,
+    _scalar,
+)
 
-_TOKEN_RE = re.compile(r"\s*((\d+)|x(\d+)|([+\-*/^()])|(\S))")
+# One group per token kind: INT, VAR, operator, any other character.
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|(x\d+)|([+\-*/^()])|(\S))")
 
-
-class _Token:
-    __slots__ = ("kind", "value", "offset")
-
-    def __init__(self, kind, value, offset):
-        self.kind = kind      # "int", "var", or the operator character
-        self.value = value
-        self.offset = offset  # index of the token's first character in the text
+# Numerators, denominator and ambient nvars of an expression, not normalised.
+_Parsed = tuple[dict[int, int], int, int]
 
 
 class _ExprParser:
     """Recursive descent over the tokens of `text`, which begins at file
-    position `start` = (line, col); tokens keep their offset in the text,
-    and an error converts it to a file position."""
+    position `start` = (line, col).
+
+    A token is a tuple (kind, value, offset): kind "int" or "var" with the
+    integer or the variable index as value, an operator character as both
+    kind and value, or "end" after the last token.  The offset is the index
+    of the token's first character in the text (for "end", just past the
+    last non-blank character); an error converts it to a file position.
+    """
 
     def __init__(self, text: str, start: tuple[int, int]):
         self.text = text
         self.start = start
-        self.tokens = [self._token(match) for match in _TOKEN_RE.finditer(text)]
+        self.nvars = 0  # the largest variable index in the text
+        self.tokens = self._tokens()
         self.pos = 0
 
     def _error(self, message: str, offset: int) -> ParseError:
@@ -61,102 +85,148 @@ class _ExprParser:
             col += offset
         return ParseError(message, line, col)
 
-    def _token(self, match: re.Match) -> _Token:
-        _, number, var, op, junk = match.groups()
-        offset = match.start(1)
-        if number is not None:
-            return _Token("int", int(number), offset)
-        if var is not None:
-            if int(var) < 1:
-                raise self._error("variable index must be at least 1", offset)
-            return _Token("var", int(var), offset)
-        if op is not None:
-            return _Token(op, op, offset)
-        raise self._error(f"unexpected character {junk!r}", offset)
-
-    def _peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def _next(self, expected: str) -> _Token:
-        tok = self._peek()
-        if tok is None:
-            raise self._error(f"expected {expected}, found end of input",
-                              len(self.text.rstrip()))
-        self.pos += 1
-        return tok
-
-    def _fail(self, tok: _Token, expected: str):
-        shown = f"x{tok.value}" if tok.kind == "var" else str(tok.value)
-        raise self._error(f"expected {expected}, found {shown!r}", tok.offset)
-
-    def parse(self) -> Polynomial:
-        poly = self.poly()
-        tok = self._peek()
-        if tok is not None:
-            self._fail(tok, "end of expression")
-        return poly
-
-    def poly(self) -> Polynomial:
-        negate = False
-        tok = self._peek()
-        if tok is not None and tok.kind == "-":
-            self.pos += 1
-            negate = True
-        result = self.term()
-        if negate:
-            result = -result
-        while True:
-            tok = self._peek()
-            if tok is None or tok.kind not in "+-":
-                return result
-            self.pos += 1
-            operand = self.term()
-            result = result + operand if tok.kind == "+" else result - operand
-
-    def term(self) -> Polynomial:
-        result = self.factor()
-        while True:
-            tok = self._peek()
-            if tok is None or tok.kind not in "*/":
-                return result
-            self.pos += 1
-            if tok.kind == "*":
-                result = result * self.factor()
+    def _tokens(self) -> list[tuple]:
+        tokens = []
+        for match in _TOKEN_RE.finditer(self.text):
+            kind = match.lastindex
+            value = match[kind]
+            offset = match.start(kind)
+            if kind == 1:
+                tokens.append(("int", int(value), offset))
+            elif kind == 2:
+                index = int(value[1:])
+                if index < 1:
+                    raise self._error("variable index must be at least 1", offset)
+                if index > self.nvars:
+                    self.nvars = index
+                tokens.append(("var", index, offset))
+            elif kind == 3:
+                tokens.append((value, value, offset))
             else:
-                divisor = self._next("an integer divisor")
-                if divisor.kind != "int":
-                    self._fail(divisor, "an integer divisor")
-                if divisor.value == 0:
-                    raise self._error("division by zero", divisor.offset)
-                result = result / divisor.value
+                raise self._error(f"unexpected character {value!r}", offset)
+        tokens.append(("end", None, len(self.text.rstrip())))
+        return tokens
 
-    def factor(self) -> Polynomial:
-        tok = self._next("a number, variable, or '('")
-        if tok.kind == "int":
-            return Polynomial.constant(tok.value)
-        if tok.kind == "var":
-            base = Polynomial.variable(tok.value)
-            nxt = self._peek()
-            if nxt is not None and nxt.kind == "^":
+    def _fail(self, tok: tuple, expected: str):
+        kind, value, offset = tok
+        if kind == "end":
+            shown = "end of input"
+        else:
+            shown = repr(f"x{value}" if kind == "var" else str(value))
+        raise self._error(f"expected {expected}, found {shown}", offset)
+
+    def parse(self) -> _Parsed:
+        num, den = self.poly()
+        tok = self.tokens[self.pos]
+        if tok[0] != "end":
+            self._fail(tok, "end of expression")
+        return num, den, self.nvars
+
+    def poly(self) -> tuple[dict[int, int], int]:
+        """(numerators, denominator) of the expression at the current token,
+        in a fresh dict, not normalised: each term is added as it is read,
+        the dict rescaled only when a term's denominator does not divide the
+        running one."""
+        tokens = self.tokens
+        num: dict[int, int] = {}
+        den = 1
+        sign = 1
+        if tokens[self.pos][0] == "-":
+            self.pos += 1
+            sign = -1
+        while True:
+            term = self.term()
+            if type(term) is tuple:
+                c, d, key = term
+                if c:
+                    if den % d:
+                        num, den = _rescaled(num, den, d)
+                    num[key] = num.get(key, 0) + sign * c * (den // d)
+            elif term:
+                if den % term._den:
+                    num, den = _rescaled(num, den, term._den)
+                _add_into(num, term._num, sign * (den // term._den))
+            kind = tokens[self.pos][0]
+            if kind == "+":
+                sign = 1
+            elif kind == "-":
+                sign = -1
+            else:
+                break
+            self.pos += 1
+        if 0 in num.values():
+            num = {k: c for k, c in num.items() if c}
+        return num, den
+
+    def term(self) -> tuple[int, int, int] | Polynomial:
+        """The term at the current token: (numerator, denominator, packed
+        key) when it has no parenthesised factor, else a Polynomial."""
+        tokens = self.tokens
+        n = d = 1
+        key = 0
+        factors = None  # product of the parenthesised factors
+        while True:
+            tok = tokens[self.pos]
+            self.pos += 1
+            kind = tok[0]
+            if kind == "int":
+                n *= tok[1]
+            elif kind == "var":
+                shift = _SHIFT * (tok[1] - 1)
+                if tokens[self.pos][0] == "^":
+                    exp = tokens[self.pos + 1]
+                    self.pos += 2
+                    if exp[0] != "int":
+                        self._fail(exp, "a non-negative integer exponent")
+                    if exp[1] >= _LIMIT:
+                        raise ValueError(f"exponent {exp[1]} of x{tok[1]} is not below "
+                                         f"2**{EXPONENT_BITS}")
+                    key += exp[1] << shift
+                else:
+                    key += 1 << shift
+                if key >> shift & _LIMIT:  # the guard bit of x_i's field
+                    raise ValueError(f"term has an exponent of x{tok[1]} not below "
+                                     f"2**{EXPONENT_BITS}")
+            elif kind == "(":
+                inner = _normalised(*self.poly(), self.nvars)
+                closing = tokens[self.pos]
                 self.pos += 1
-                exp = self._next("a non-negative integer exponent")
-                if exp.kind != "int":
-                    self._fail(exp, "a non-negative integer exponent")
-                return base ** exp.value
-            return base
-        if tok.kind == "(":
-            inner = self.poly()
-            closing = self._next("')'")
-            if closing.kind != ")":
-                self._fail(closing, "')'")
-            return inner
-        self._fail(tok, "a number, variable, or '('")
+                if closing[0] != ")":
+                    self._fail(closing, "')'")
+                factors = inner if factors is None else factors * inner
+            else:
+                self._fail(tok, "a number, variable, or '('")
+            while True:
+                kind = tokens[self.pos][0]
+                if kind == "*":
+                    self.pos += 1
+                    break
+                if kind != "/":
+                    if factors is None:
+                        return n, d, key
+                    if not n:
+                        return Polynomial.zero(self.nvars)
+                    return factors * _normalised({key: n}, d, self.nvars)
+                divisor = tokens[self.pos + 1]
+                self.pos += 2
+                if divisor[0] != "int":
+                    self._fail(divisor, "an integer divisor")
+                if not divisor[1]:
+                    raise self._error("division by zero", divisor[2])
+                d *= divisor[1]
+
+
+def _rescaled(num: dict[int, int], den: int, d: int) -> tuple[dict[int, int], int]:
+    """num / den brought over lcm(den, d)."""
+    common = lcm(den, d)
+    scale = common // den
+    return {k: c * scale for k, c in num.items()}, common
 
 
 def parse_polynomial(text: str) -> Polynomial:
     """Parse one polynomial expression; the whole text must be consumed.
     Error positions count from line 1, col 1 of the text."""
-    return _ExprParser(text, (1, 1)).parse()
+    return _normalised(*_ExprParser(text, (1, 1)).parse())
 
 
 _HEADER_RE = re.compile(r"^n\s*=\s*(\d+)$")
@@ -168,10 +238,11 @@ _DERIVATION_FILE = ("dx", "<-", "coefficient", re.compile(r"^dx(\d+)\s*<-\s*(.*)
 
 
 def _coordinate_file(lines: Iterable[tuple[int, str]],
-                     file_format) -> tuple[int, list[Polynomial]]:
-    """(n, [polynomial of line i for i = 1..n]) from the header "n=<int>"
+                     file_format) -> tuple[int, list[_Parsed]]:
+    """(n, [expression of line i for i = 1..n]) from the header "n=<int>"
     and the n lines that follow it in order, given as (file line number,
-    line) pairs; blank lines are skipped."""
+    line) pairs; blank lines are skipped.  Each expression is (numerators,
+    denominator, nvars) as `_ExprParser.parse` returns it."""
     prefix, arrow, kind, line_re = file_format
     lines = [(num, line) for num, line in lines if line.strip()]
     if not lines:
@@ -187,7 +258,7 @@ def _coordinate_file(lines: Iterable[tuple[int, str]],
     if len(lines) - 1 != n:
         raise ParseError(f"expected {n} '{prefix}<i> {arrow} <polynomial>' lines "
                          f"after the header, found {len(lines) - 1}")
-    polys = []
+    exprs = []
     for i, (num, raw) in enumerate(lines[1:], start=1):
         line = raw.strip()
         match = line_re.match(line)
@@ -199,28 +270,32 @@ def _coordinate_file(lines: Iterable[tuple[int, str]],
             raise ParseError(f"{kind} lines must appear in order; expected "
                              f"{prefix}{i}, found {prefix}{index}", num, 1)
         col = len(raw) - len(raw.lstrip()) + match.start(2) + 1
-        polys.append(_ExprParser(match.group(2), (num, col)).parse())
-    return n, polys
+        exprs.append(_ExprParser(match.group(2), (num, col)).parse())
+    return n, exprs
 
 
 def parse_automorphism(text: str) -> TriangularAutomorphism:
-    """Parse the automorphism file format and validate triangularity."""
+    """Parse the automorphism file format and validate triangularity.
+    lambda_i is the x_i term popped from coordinate i's numerators, and the
+    rest is tail i."""
     n, coordinates = _coordinate_file(enumerate(text.splitlines(), start=1),
                                       _AUTOMORPHISM_FILE)
     lambdas = []
     tails = []
-    for i, f in enumerate(coordinates, start=1):
-        key = (0,) * (i - 1) + (1,)
-        lam = f.coefficient(key)
-        lambdas.append(lam)
-        tails.append(f - Polynomial.monomial(lam, key) if lam else f)
+    for i, (num, den, nvars) in enumerate(coordinates, start=1):
+        lambdas.append(_scalar(num.pop(1 << (_SHIFT * (i - 1)), 0), den))
+        tails.append(_normalised(num, den, nvars))
     return TriangularAutomorphism(n, lambdas, tails)
+
+
+def _derivation(lines: Iterable[tuple[int, str]]) -> TriangularDerivation:
+    n, coeffs = _coordinate_file(lines, _DERIVATION_FILE)
+    return TriangularDerivation(n, [_normalised(*c) for c in coeffs])
 
 
 def parse_derivation(text: str) -> TriangularDerivation:
     """Parse the derivation file format and validate triangularity."""
-    return TriangularDerivation(*_coordinate_file(enumerate(text.splitlines(), start=1),
-                                                  _DERIVATION_FILE))
+    return _derivation(enumerate(text.splitlines(), start=1))
 
 
 def parse_derivation_blocks(text: str) -> list[TriangularDerivation]:
@@ -231,5 +306,4 @@ def parse_derivation_blocks(text: str) -> list[TriangularDerivation]:
               if not blank]
     if not blocks:
         raise ParseError("no derivation blocks found")
-    return [TriangularDerivation(*_coordinate_file(block, _DERIVATION_FILE))
-            for block in blocks]
+    return [_derivation(block) for block in blocks]

@@ -46,6 +46,9 @@ numerators and denominators are, whatever their `nvars`.
 `terms` is a read-only dict {exponent tuple of length nvars:
 coefficient} (a `types.MappingProxyType`), built when it is read, with
 coefficients `int` where integral and `fractions.Fraction` otherwise.
+The canonical text (`str`) does not go through it: it reads each packed
+key's exponent fields once and reduces each numerator against the
+denominator by an integer gcd.
 Polynomials are immutable values: nothing here mutates its inputs, and
 an operation may hand back an operand unchanged (p * 1 is p) or share
 its numerator dict.  The result of an operation lives in the larger of
@@ -167,18 +170,22 @@ def _ambient(nvars, width: int) -> int:
     (ValueError)."""
     if nvars is None:
         return width
-    if type(nvars) is not int:
-        raise TypeError(f"nvars must be an int, not {type(nvars).__name__}")
+    _checked_int(nvars, "nvars")
     if nvars < width:
         raise ValueError(f"nvars={nvars} too small for a monomial in x{width}")
     return nvars
 
 
+def _checked_int(value, what: str) -> None:
+    """Raise TypeError unless `value` is an int (not bool); `what` names it."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an int, not {type(value).__name__}")
+
+
 def _checked_index(value, low: int, high: int, what: str) -> None:
     """Raise unless `value` is an int (not bool, TypeError) in low..high
     (ValueError): Python's negative indexing must not pick an entry."""
-    if type(value) is not int:
-        raise TypeError(f"{what} must be an int, not {type(value).__name__}")
+    _checked_int(value, what)
     if not low <= value <= high:
         raise ValueError(f"{what} {value} out of range {low}..{high}")
 
@@ -443,8 +450,7 @@ class Polynomial:
     def variable(cls, index: int, nvars: int | None = None) -> "Polynomial":
         """The polynomial x_index (1-based); index must be an int (not
         bool), else TypeError."""
-        if type(index) is not int:
-            raise TypeError(f"variable index must be an int, not {type(index).__name__}")
+        _checked_int(index, "variable index")
         if index < 1:
             raise ValueError("variable index must be at least 1")
         return _make({1 << (_SHIFT * (index - 1)): 1}, 1, _ambient(nvars, index))
@@ -564,7 +570,9 @@ class Polynomial:
         return NotImplemented
 
     def __pow__(self, exponent: int) -> "Polynomial":
-        if not isinstance(exponent, int) or exponent < 0:
+        """Power by an int (not bool, TypeError) exponent >= 0 (ValueError)."""
+        _checked_int(exponent, "polynomial exponent")
+        if exponent < 0:
             raise ValueError("polynomial exponents must be non-negative integers")
         result = Polynomial.one(self.nvars)
         base = self
@@ -612,26 +620,44 @@ class Polynomial:
     # -- canonical text -------------------------------------------------
 
     def __str__(self) -> str:
+        """Canonical text: terms in `term_order_key` order, read straight
+        from the packed keys, each coefficient reduced against the
+        denominator by one integer gcd."""
         if not self._num:
             return "0"
-        terms = self.terms
+        den = self._den
+        rows = []
+        for key, c in self._num.items():
+            negated = []  # -e_1, ..., -e_v up to the last variable present
+            factors = []
+            while key:
+                e = key & _MASK
+                negated.append(-e)
+                if e:
+                    i = len(negated)
+                    factors.append(f"x{i}" if e == 1 else f"x{i}^{e}")
+                key >>= _SHIFT
+            # Of two keys of one degree, neither trimmed list is a proper
+            # prefix of the other (the longer one's extra entries would sum
+            # to 0), so these lists sort as term_order_key's full tuples do.
+            rows.append((-sum(negated), negated, factors, c))
+        rows.sort()
         pieces = []
-        for key in sorted(terms, key=term_order_key):
-            coeff = terms[key]
-            vars_part = "*".join(
-                f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
-                for i, e in enumerate(key) if e)
+        for _, _, factors, c in rows:
+            g = gcd(c, den)
+            p, q = abs(c) // g, den // g
+            coeff = str(p) if q == 1 else f"{p}/{q}"
+            vars_part = "*".join(factors)
             if not vars_part:
-                body = str(abs(coeff))
-            elif abs(coeff) == 1:
+                body = coeff
+            elif p == q == 1:
                 body = vars_part
             else:
-                body = f"{abs(coeff)}*{vars_part}"
-            negative = coeff < 0
+                body = f"{coeff}*{vars_part}"
             if not pieces:
-                pieces.append(f"-{body}" if negative else body)
+                pieces.append(f"-{body}" if c < 0 else body)
             else:
-                pieces.append(f"- {body}" if negative else f"+ {body}")
+                pieces.append(f"- {body}" if c < 0 else f"+ {body}")
         return " ".join(pieces)
 
     def __repr__(self) -> str:

@@ -8,7 +8,7 @@ from fractions import Fraction
 from random import Random
 
 from triaut.derivations import bracket
-from triaut.polynomials import Polynomial, monomials_up_to_degree
+from triaut.polynomials import Polynomial, monomials_up_to_degree, term_order_key
 
 
 def random_scalar(rng: Random, bound: int = 4, fractions: bool = True):
@@ -54,6 +54,31 @@ def to_sympy(sympy, p: Polynomial, gens):
     return sympy.Add(*(sympy.Rational(Fraction(c).numerator, Fraction(c).denominator)
                        * sympy.Mul(*(g ** e for g, e in zip(gens, key)))
                        for key, c in p.terms.items()))
+
+
+def reference_str(p: Polynomial) -> str:
+    """p's canonical text built from `terms`: exponent tuples sorted by
+    `term_order_key`, int or Fraction coefficients.  A test oracle for
+    `Polynomial.__str__`, which reads the packed keys instead."""
+    if not p:
+        return "0"
+    terms = p.terms
+    pieces = []
+    for key in sorted(terms, key=term_order_key):
+        coeff = terms[key]
+        vars_part = "*".join(f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
+                             for i, e in enumerate(key) if e)
+        if not vars_part:
+            body = str(abs(coeff))
+        elif abs(coeff) == 1:
+            body = vars_part
+        else:
+            body = f"{abs(coeff)}*{vars_part}"
+        if not pieces:
+            pieces.append(f"-{body}" if coeff < 0 else body)
+        else:
+            pieces.append(f"- {body}" if coeff < 0 else f"+ {body}")
+    return " ".join(pieces)
 
 
 def reference_substitute(p: Polynomial, images) -> Polynomial:

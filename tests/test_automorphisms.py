@@ -352,6 +352,29 @@ def test_elementary_factors_check_their_index():
     assert elementary_shear(3, 3, 1, (0, 2, 0)).tails[2] == x2 ** 2
 
 
+_NOT_INTS = [2.0, True, Fraction(2), "2"]
+
+
+@pytest.mark.parametrize("bad", _NOT_INTS)
+def test_elementary_scaling_checks_its_dimension_first(bad):
+    with pytest.raises(TypeError, match="^ambient dimension must be an int, not "):
+        elementary_scaling(bad, 1, 2)
+
+
+@pytest.mark.parametrize("bad", _NOT_INTS)
+def test_elementary_shear_checks_its_dimension_first(bad):
+    with pytest.raises(TypeError, match="^ambient dimension must be an int, not "):
+        elementary_shear(bad, 2, 1, (1, 0))
+
+
+@pytest.mark.parametrize("bad", _NOT_INTS)
+def test_random_triangular_checks_dimension_and_degree_first(bad):
+    with pytest.raises(TypeError, match="^ambient dimension must be an int, not "):
+        random_triangular(bad, 2, seed=1)
+    with pytest.raises(TypeError, match="^degree bound must be an int, not "):
+        random_triangular(2, bad, seed=1)
+
+
 def test_commutator_trivial_cases():
     phi = shear_tower()
     assert commutator(phi, phi) == identity(3)

@@ -196,6 +196,15 @@ def test_triangularity_violation_is_exit_two(tmp_path):
     assert "coordinate 2" in err
 
 
+@pytest.mark.parametrize("tail", ["x1^65536", "x1^40000*x1^40000"])
+def test_exponent_beyond_the_limit_is_exit_two(tmp_path, tail):
+    bad = tmp_path / "big.aut"
+    bad.write_text(f"n=2\nx1 -> x1\nx2 -> x2 + {tail}\n")
+    code, out, err = invoke(["invert", str(bad)])
+    assert code == 2 and out == ""
+    assert "2**16" in err
+
+
 def test_degenerate_counterexample_is_exit_two():
     code, _, err = invoke(["counterexample", "1", "1"])
     assert code == 2

@@ -317,3 +317,11 @@ def test_exponential_matches_sympy_flow_series():
             at_t = {s: sympy.Rational(t.numerator, t.denominator)}
             for ours, phi_i in zip(exponential(d, t).coordinates(), flow):
                 assert sympy.expand(to_sympy(sympy, ours, gens) - phi_i.subs(at_t)) == 0
+
+
+@pytest.mark.parametrize("bad", [2.0, True, Fraction(2), "2"])
+def test_random_triangular_derivation_checks_dimension_and_degree_first(bad):
+    with pytest.raises(TypeError, match="^ambient dimension must be an int, not "):
+        random_triangular_derivation(bad, 2, seed=1)
+    with pytest.raises(TypeError, match="^degree bound must be an int, not "):
+        random_triangular_derivation(2, bad, seed=1)

@@ -14,7 +14,7 @@ from triaut.parsing import (
 )
 from triaut.polynomials import Polynomial
 
-from helpers import random_polynomial
+from helpers import random_polynomial, to_sympy
 
 x1 = Polynomial.variable(1)
 x2 = Polynomial.variable(2)
@@ -43,6 +43,90 @@ def test_parentheses_and_products():
     assert parse_polynomial("2*(x1 + 1)") == 2 * x1 + 2
 
 
+# Each text against the same expression in Polynomial arithmetic, nvars
+# included: the ambient is the largest variable index in the text.
+NON_CANONICAL = [
+    ("x2*x1", lambda: x2 * x1),
+    ("x1*x1", lambda: x1 * x1),
+    ("2*x1*3/4", lambda: 2 * x1 * 3 / 4),
+    ("x1^0", lambda: x1 ** 0),
+    ("x1 - x1", lambda: x1 - x1),
+    ("0*x1 + 0", lambda: 0 * x1 + 0),
+    ("(x1+1)*(x1-1)/2", lambda: (x1 + 1) * (x1 - 1) / 2),
+    ("-(x1 - 2)*3", lambda: -(x1 - 2) * 3),
+    ("x1/2/2", lambda: x1 / 2 / 2),
+    ("x3^2*2*x1/6*(x2 - 1/3)*x1 - 1/6 + x1^2*x3^2/3",
+     lambda: x3 ** 2 * 2 * x1 / 6 * (x2 - Fraction(1, 3)) * x1 - Fraction(1, 6)
+     + x1 ** 2 * x3 ** 2 / 3),
+    ("(x2)*(x1 + x2)*(1)/4 - 1/4*x2^2 + 0/7", lambda: x2 * (x1 + x2) / 4 - x2 ** 2 / 4),
+]
+
+
+@pytest.mark.parametrize("text, build", NON_CANONICAL)
+def test_non_canonical_input_matches_arithmetic(text, build):
+    expected = build()
+    p = parse_polynomial(text)
+    assert p == expected
+    assert p.nvars == expected.nvars
+    assert str(p) == str(expected)
+
+
+def test_exponent_limit():
+    top = parse_polynomial("x1^65535")
+    assert top == x1 ** 65535 and str(top) == "x1^65535"
+    assert parse_polynomial("x2^65535*x1^65535*x3") == x1 ** 65535 * x2 ** 65535 * x3
+    for text in ("x1^65536", "x1^40000*x1^40000", "x2*x1^65535*x1", "(x1^40000)*x1^40000",
+                 "x1^99999999999999999999"):
+        with pytest.raises(ValueError):
+            parse_polynomial(text)
+
+
+def _random_expression(rng: Random, sympy, gens, depth: int):
+    """(text, sympy value) of a random expression of the grammar, with
+    repeated and unordered variables, zero factors, chained divisions and
+    parenthesised subexpressions nested up to `depth`."""
+    pieces, value = [], 0
+    for k in range(rng.randint(1, 3)):
+        factors, term = [], sympy.Integer(1)
+        for _ in range(rng.randint(1, 3)):
+            r = rng.random()
+            if r < 0.3:
+                c = rng.randint(0, 12)
+                factors.append(str(c))
+                term *= c
+            elif r < 0.75 or depth == 0:
+                i, e = rng.randint(1, len(gens)), rng.randint(0, 3)
+                factors.append(f"x{i}" if e == 1 and rng.random() < 0.5 else f"x{i}^{e}")
+                term *= gens[i - 1] ** e
+            else:
+                text, inner = _random_expression(rng, sympy, gens, depth - 1)
+                factors.append(f"({text})")
+                term *= inner
+        text = "*".join(factors)
+        while rng.random() < 0.3:
+            d = rng.randint(1, 6)
+            text += f"/{d}"
+            term *= sympy.Rational(1, d)
+        negative = rng.random() < 0.4
+        if k == 0:
+            pieces.append(f"-{text}" if negative else text)
+        else:
+            pieces.append(f"- {text}" if negative else f"+ {text}")
+        value += -term if negative else term
+    return " ".join(pieces), value
+
+
+def test_parse_polynomial_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols("x1:5")
+    rng = Random(617)
+    for _ in range(150):
+        text, value = _random_expression(rng, sympy, gens, depth=2)
+        p = parse_polynomial(text)
+        assert sympy.expand(to_sympy(sympy, p, gens) - value) == 0, text
+        assert parse_polynomial(str(p)) == p
+
+
 def test_whitespace_insensitive():
     assert parse_polynomial("x1+2*x2^2") == parse_polynomial(" x1 + 2 * x2 ^ 2 ")
 
@@ -65,6 +149,26 @@ def test_syntax_errors_carry_positions():
         parse_polynomial("x1 x2")
     with pytest.raises(ParseError):
         parse_polynomial("")
+
+
+# A variable token's position is its 'x', not its digits.
+EXPRESSION_ERRORS = [
+    ("x1 x22", "line 1, col 4: expected end of expression, found 'x22'"),
+    ("2 +\n  x0", "line 2, col 3: variable index must be at least 1"),
+    ("3/x1", "line 1, col 3: expected an integer divisor, found 'x1'"),
+    ("x1^x2", "line 1, col 4: expected a non-negative integer exponent, found 'x2'"),
+    ("(x1 + 1 x3", "line 1, col 9: expected ')', found 'x3'"),
+    ("x1 * )", "line 1, col 6: expected a number, variable, or '(', found ')'"),
+    ("x1^ ", "line 1, col 4: expected a non-negative integer exponent, found end of input"),
+    ("x1/0", "line 1, col 4: division by zero"),
+]
+
+
+@pytest.mark.parametrize("text, message", EXPRESSION_ERRORS)
+def test_expression_error_texts_are_pinned(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_polynomial(text)
+    assert str(err.value) == message
 
 
 def test_parse_automorphism_round_trip():

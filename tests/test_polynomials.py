@@ -15,8 +15,8 @@ from triaut.polynomials import (
     term_order_key,
 )
 
-from helpers import (nonzero_polynomial, random_polynomial, reference_substitute, to_sympy,
-                     wide_rational_polynomial)
+from helpers import (nonzero_polynomial, random_polynomial, reference_str, reference_substitute,
+                     to_sympy, wide_rational_polynomial)
 
 x1 = Polynomial.variable(1)
 x2 = Polynomial.variable(2)
@@ -193,6 +193,13 @@ def test_bool_exponents_rejected():
         Polynomial({(1, False): 1})
 
 
+def test_pow_exponent_must_be_an_int():
+    assert x1 ** 0 == 1 and x1 ** 1 == x1
+    for exponent in (True, False, 2.0, Fraction(2), "2"):
+        with pytest.raises(TypeError):
+            x1 ** exponent
+
+
 def test_scalar_division():
     assert (2 * x1) / 2 == x1
     assert (3 * x1) / 2 == Fraction(3, 2) * x1
@@ -212,6 +219,22 @@ def test_printing_signs_and_fractions():
     assert str(-x1 + 2) == "2 - x1"
     assert str(-(x1 ** 2) - Fraction(1, 2)) == "-1/2 - x1^2"
     assert str(Fraction(3, 2) * x1) == "3/2*x1"
+
+
+def test_printing_matches_the_terms_oracle():
+    rng = Random(613)
+    cases = [Polynomial.zero(3), Polynomial.constant(Fraction(-7, 3)), -x1, -(x3 ** 2) + x1,
+             Polynomial.constant(5, 6), Fraction(-1, 2) * x2 + Fraction(4, 6)]
+    for _ in range(200):
+        nvars = rng.randint(1, 7)
+        p = random_polynomial(rng, nvars, rng.randint(0, 3), density=rng.choice([0.1, 0.4]),
+                              bound=rng.choice([1, 4, 1000]))
+        if rng.random() < 0.3:  # a negative leading term
+            p = p - rng.randint(1, 5)
+        cases.append(p)
+        cases.append(wide_rational_polynomial(rng, nvars, 2, density=0.2))
+    for p in cases:
+        assert str(p) == reference_str(p)
 
 
 def test_monomials_up_to_degree():
