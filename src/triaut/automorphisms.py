@@ -113,7 +113,8 @@ class TriangularAutomorphism:
 
     def to_text(self) -> str:
         lines = [f"n={self.n}"]
-        lines += [f"x{i} -> {self.coordinate(i)}" for i in range(1, self.n + 1)]
+        lines += [f"x{i} -> {_coordinate(lam, i, tail)}"
+                  for i, (lam, tail) in enumerate(zip(self.lambdas, self.tails), start=1)]
         return "\n".join(lines) + "\n"
 
     __str__ = to_text
@@ -172,7 +173,8 @@ def compose(outer: TriangularAutomorphism,
     if outer._nested is not None:
         return _back_substitute(outer.lambdas, outer._nested, inner)
     n = outer.n
-    coords = inner.coordinates()
+    # no tail mentions x_n, so its image is not needed
+    coords = [_coordinate(inner.lambdas[i], i + 1, inner.tails[i]) for i in range(n - 1)]
     lambdas = []
     tails = []
     for j in range(n):
@@ -218,7 +220,8 @@ def _back_substitute(mus: Sequence[Scalar], nested: Sequence[Polynomial],
         tail = _substitute_add(nested[j], solved, n, mu, inner.tails[j])
         lambdas.append(lam)
         tails.append(tail)
-        solved.append(_coordinate(lam, j + 1, tail))
+        if j + 1 < n:  # T_n is no later coordinate's image
+            solved.append(_coordinate(lam, j + 1, tail))
     return _trusted(n, lambdas, tails)
 
 
@@ -241,8 +244,9 @@ def power(phi: TriangularAutomorphism, k: int) -> TriangularAutomorphism:
 
 def commutator(phi: TriangularAutomorphism,
                psi: TriangularAutomorphism) -> TriangularAutomorphism:
-    """phi . psi . phi^{-1} . psi^{-1}; always unitriangular."""
-    return compose(compose(compose(phi, psi), invert(phi)), invert(psi))
+    """phi . psi . phi^{-1} . psi^{-1}, always unitriangular, associated as
+    (phi psi)(phi^{-1} psi^{-1}): phi^{-1} is applied by its nested form."""
+    return compose(compose(phi, psi), compose(invert(phi), invert(psi)))
 
 
 def elementary_scaling(n: int, i: int, lam) -> TriangularAutomorphism:

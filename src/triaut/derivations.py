@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 from .automorphisms import TriangularAutomorphism, _random_tails, _triangular, _trusted, identity
 from .errors import CapExceededError
-from .polynomials import Polynomial, _checked_int, as_scalar
+from .polynomials import Polynomial, _checked_int, _weighted_degree, as_scalar
 
 class TriangularDerivation:
     """Coefficient tuple (g_1, ..., g_n) of a triangular derivation."""
@@ -111,8 +111,7 @@ def _weights(derivations: Sequence[TriangularDerivation], n: int) -> list[int]:
     """
     weights: list[int] = []
     for i in range(n):
-        weights.append(1 + max((sum(e * w for e, w in zip(key, weights))
-                                for d in derivations for key in d.coeffs[i].terms),
+        weights.append(1 + max((_weighted_degree(d.coeffs[i], weights) for d in derivations),
                                default=0))
     return weights
 
@@ -139,8 +138,7 @@ def nilpotency_index(d: TriangularDerivation, p: Polynomial) -> int:
         p = Polynomial.constant(p)
     if not p:
         return 0
-    weights = _weights([d], d.n)
-    cap = 1 + max(sum(e * w for e, w in zip(key, weights)) for key in p.terms)
+    cap = 1 + _weighted_degree(p, _weights([d], d.n))
     return sum(1 for _ in _iterates(d, p, cap))
 
 

@@ -19,13 +19,13 @@ line-oriented:
 The parser works on the packed numerators of `triaut.polynomials`.  One
 regex splits an expression into tokens (kind, value, offset), and the
 offset becomes a (line, col) file position only when an error is raised.
-A term without parentheses is read as (numerator, denominator, packed
-key): an INT multiplies the numerator, x_i^e adds e to x_i's exponent
-field of the key and /INT multiplies the denominator.  Only a
-parenthesised factor becomes a `Polynomial`, and a term holding one is
-multiplied out by `*`.  Each expression adds its terms into one
-numerator dict over a running common denominator and is normalised
-once.
+A term is (numerators, denominator).  Without parentheses it is one
+packed key over one numerator: an INT multiplies the numerator, x_i^e
+adds e to x_i's exponent field of the key and /INT multiplies the
+denominator.  Only a parenthesised factor becomes a `Polynomial`, and a
+term holding one is multiplied out by `*`.  Each expression adds its
+further terms into its first term's dict over a running common
+denominator, by `polynomials._merged`, and is normalised once.
 
 The canonical printers (to_text / str) emit exactly this grammar, and
 print -> parse -> print is a fixed point byte for byte.
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import re
 from itertools import groupby
-from math import lcm
 from typing import Iterable
 
 from .automorphisms import TriangularAutomorphism
@@ -46,7 +45,7 @@ from .polynomials import (
     Polynomial,
     _LIMIT,
     _SHIFT,
-    _add_into,
+    _merged,
     _normalised,
     _scalar,
 )
@@ -124,43 +123,23 @@ class _ExprParser:
 
     def poly(self) -> tuple[dict[int, int], int]:
         """(numerators, denominator) of the expression at the current token,
-        in a fresh dict, not normalised: each term is added as it is read,
-        the dict rescaled only when a term's denominator does not divide the
-        running one."""
+        not normalised: the first term's dict, with each further term added
+        into it by `_merged` as it is read."""
         tokens = self.tokens
-        num: dict[int, int] = {}
-        den = 1
-        sign = 1
-        if tokens[self.pos][0] == "-":
+        negated = tokens[self.pos][0] == "-"
+        self.pos += negated
+        num, den = self.term()
+        if negated:
+            num = {k: -c for k, c in num.items()}
+        while (kind := tokens[self.pos][0]) in ("+", "-"):
             self.pos += 1
-            sign = -1
-        while True:
-            term = self.term()
-            if type(term) is tuple:
-                c, d, key = term
-                if c:
-                    if den % d:
-                        num, den = _rescaled(num, den, d)
-                    num[key] = num.get(key, 0) + sign * c * (den // d)
-            elif term:
-                if den % term._den:
-                    num, den = _rescaled(num, den, term._den)
-                _add_into(num, term._num, sign * (den // term._den))
-            kind = tokens[self.pos][0]
-            if kind == "+":
-                sign = 1
-            elif kind == "-":
-                sign = -1
-            else:
-                break
-            self.pos += 1
-        if 0 in num.values():
-            num = {k: c for k, c in num.items() if c}
+            tnum, tden = self.term()
+            num, den = _merged(num, den, tnum, tden, 1 if kind == "+" else -1, True)
         return num, den
 
-    def term(self) -> tuple[int, int, int] | Polynomial:
-        """The term at the current token: (numerator, denominator, packed
-        key) when it has no parenthesised factor, else a Polynomial."""
+    def term(self) -> tuple[dict[int, int], int]:
+        """(numerators, denominator) of the term at the current token, in a
+        fresh dict with no zero numerator."""
         tokens = self.tokens
         n = d = 1
         key = 0
@@ -202,11 +181,12 @@ class _ExprParser:
                     self.pos += 1
                     break
                 if kind != "/":
-                    if factors is None:
-                        return n, d, key
                     if not n:
-                        return Polynomial.zero(self.nvars)
-                    return factors * _normalised({key: n}, d, self.nvars)
+                        return {}, 1
+                    if factors is None:
+                        return {key: n}, d
+                    p = factors * _normalised({key: n}, d, self.nvars)
+                    return p._num, p._den
                 divisor = tokens[self.pos + 1]
                 self.pos += 2
                 if divisor[0] != "int":
@@ -214,13 +194,6 @@ class _ExprParser:
                 if not divisor[1]:
                     raise self._error("division by zero", divisor[2])
                 d *= divisor[1]
-
-
-def _rescaled(num: dict[int, int], den: int, d: int) -> tuple[dict[int, int], int]:
-    """num / den brought over lcm(den, d)."""
-    common = lcm(den, d)
-    scale = common // den
-    return {k: c * scale for k, c in num.items()}, common
 
 
 def parse_polynomial(text: str) -> Polynomial:

@@ -38,6 +38,13 @@ normalised once, so `substitute` and the compose and invert of
 `triaut.automorphisms` (tail' = p'(coordinates) + lambda' * tail) build
 no intermediate polynomial.
 
+One function, `_merged`, adds one numerator dict into another over the
+lcm of their denominators: for `+` and `-`, the addend of
+`_substitute_add`, a map's coordinate lambda * x_i + tail and each term
+that `triaut.parsing` reads.  Two loops keep their own merge: `_horner`
+folds its rescale into a product's one pass, and `_monomial_fold` knows
+every denominator first and never rescales its output.
+
 The form is normalised: the denominator is positive and shares no factor
 with all numerators together (it is 1 for integer polynomials, which
 then skip every gcd), so two polynomials are equal exactly when their
@@ -144,6 +151,20 @@ def _degree(key: int) -> int:
     return d
 
 
+def _weighted_degree(p: "Polynomial", weights: Sequence[int]) -> int:
+    """max of sum_i weights[i-1] * e_i over p's terms x^e (0 for p = 0),
+    from the packed keys; variables past len(weights) are not counted."""
+    best = 0
+    for key in p._num:
+        d = 0
+        for w in weights:
+            d += (key & _MASK) * w
+            key >>= _SHIFT
+        if d > best:
+            best = d
+    return best
+
+
 def _max_exponent(key: int) -> int:
     m = 0
     while key:
@@ -211,18 +232,26 @@ def _normalised(num: dict[int, int], den: int, nvars: int) -> "Polynomial":
 
 def _combine(a: "Polynomial", b: "Polynomial", sign: int) -> "Polynomial":
     """a + sign*b; a term that cancels is dropped."""
-    ta, da, sa, tb, db, sb = a._num, a._den, 1, b._num, b._den, sign
-    if len(tb) > len(ta):
-        ta, da, sa, tb, db, sb = tb, db, sb, ta, da, sa
-    if da == db:
-        den = da
-    else:
-        den = lcm(da, db)
-        sa *= den // da
-        sb *= den // db
-    out = dict(ta) if sa == 1 else {k: c * sa for k, c in ta.items()}
-    _add_into(out, tb, sb)
-    return _normalised(out, den, max(a.nvars, b.nvars))
+    num, den = _merged(a._num, a._den, b._num, b._den, sign, False)
+    return _normalised(num, den, max(a.nvars, b.nvars))
+
+
+def _merged(num: dict[int, int], den: int, terms: dict[int, int], tden: int,
+            scale: int, own: bool) -> tuple[dict[int, int], int]:
+    """num/den + scale * terms/tden over lcm(den, tden), as (numerators,
+    denominator), not normalised, a term that cancels dropped; `scale` is
+    a nonzero int.  `num` is rescaled into a new dict only when tden does
+    not divide den, and otherwise updated in place only when the caller
+    owns it (`own`)."""
+    g = gcd(den, tden)
+    if g != tden:
+        s = tden // g
+        num = {k: c * s for k, c in num.items()}
+        den *= s
+    elif not own:
+        num = dict(num)
+    _add_into(num, terms, scale * (den // tden))
+    return num, den
 
 
 def _add_into(out: dict[int, int], terms: dict[int, int], scale: int,
@@ -311,6 +340,8 @@ def _horner(num: dict[int, int], images: list["Polynomial"],
             acc = _product(acc, y._num, 1, guards)
             continue
         pnum, pden = _horner(part, images, guards)
+        # Not `_merged`: the rescale of acc rides in `_product`'s one pass,
+        # and the fresh product is ours to add into.
         g = gcd(den, pden)
         acc = _product(acc, y._num, pden // g, guards)
         _add_into(acc, pnum, den // g)
@@ -344,6 +375,8 @@ def _monomial_fold(parts: dict[int, dict[int, int]], y: "Polynomial",
             # the interpreter's free lists, and peak RSS grows over a run
             den = lcm(den, pden)
             evaluated.append((e, pnum, pden))
+    # Not `_merged`: every part's denominator is known before the first
+    # add, so `out` starts over the final lcm and is never rescaled.
     out: dict[int, int] = {}
     for e, pnum, pden in evaluated:
         _add_into(out, pnum, p ** e * (den // pden), e * a)
@@ -372,14 +405,8 @@ def _substitute_add(p: "Polynomial", images: Sequence["Polynomial"], nvars: int,
     den *= p._den
     if c and addend:
         cp, cq = (c, 1) if type(c) is int else (c.numerator, c.denominator)
-        aden = addend._den * cq
-        g = gcd(den, aden)
-        if aden != g:
-            num = {k: v * (aden // g) for k, v in num.items()}
-        elif num is p._num:  # a constant p: _horner handed back p's own dict
-            num = dict(num)
-        _add_into(num, addend._num, cp * (den // g))
-        den = den // g * aden
+        # a constant p: _horner handed back p's own dict
+        num, den = _merged(num, den, addend._num, addend._den * cq, cp, num is not p._num)
     return _normalised(num, den, nvars)
 
 
@@ -390,11 +417,8 @@ def _coordinate(lam: Scalar, index: int, tail: "Polynomial") -> "Polynomial":
     numerator would divide either the tail's denominator and numerators,
     or lam's numerator and denominator."""
     p, q = (lam, 1) if type(lam) is int else (lam.numerator, lam.denominator)
-    den = tail._den
-    scale = q // gcd(den, q)
-    num = {k: c * scale for k, c in tail._num.items()} if scale != 1 else dict(tail._num)
-    num[1 << (_SHIFT * (index - 1))] = p * (den // (q // scale))
-    return _make(num, den * scale, tail.nvars)
+    num, den = _merged(tail._num, tail._den, {1 << (_SHIFT * (index - 1)): p}, q, 1, False)
+    return _make(num, den, tail.nvars)
 
 
 class Polynomial:

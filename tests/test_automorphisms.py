@@ -396,6 +396,23 @@ def test_commutator_is_always_unitriangular():
         assert commutator(a, b).is_unitriangular()
 
 
+def test_commutator_equals_the_left_nested_association():
+    # commutator associates as (phi psi)(phi^-1 psi^-1); the product must
+    # not depend on that, Fraction lambdas and tails included
+    rng = Random(27)
+    for trial in range(16):
+        n = rng.randint(2, 4)
+        phi, psi = random_aut(rng, n=n, m=2), random_aut(rng, n=n, m=2)
+        if trial % 2:
+            phi = make(n, [Fraction(rng.choice((-3, 1, 2, 5)), rng.choice((2, 3, 7)))
+                           for _ in range(n)], [t / 3 for t in phi.tails])
+            psi = make(n, [Fraction(1, 2) * lam for lam in psi.lambdas], psi.tails)
+        expected = compose(compose(compose(phi, psi), invert(phi)), invert(psi))
+        result = commutator(phi, psi)
+        assert result == expected
+        assert result.to_text() == expected.to_text()
+
+
 def test_affine_maps_are_closed_under_compose_and_invert():
     rng = Random(203)
     for _ in range(40):

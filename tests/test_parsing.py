@@ -59,6 +59,10 @@ NON_CANONICAL = [
      lambda: x3 ** 2 * 2 * x1 / 6 * (x2 - Fraction(1, 3)) * x1 - Fraction(1, 6)
      + x1 ** 2 * x3 ** 2 / 3),
     ("(x2)*(x1 + x2)*(1)/4 - 1/4*x2^2 + 0/7", lambda: x2 * (x1 + x2) / 4 - x2 ** 2 / 4),
+    ("x1/2 + x2/3 - x1/2", lambda: x1 / 2 + x2 / 3 - x1 / 2),
+    ("x1 + 0/3", lambda: x1 + 0),
+    ("(x1+1)/6 - x1/6", lambda: (x1 + 1) / 6 - x1 / 6),
+    ("0*(x1+1)/5", lambda: 0 * (x1 + 1) / 5),
 ]
 
 

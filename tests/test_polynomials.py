@@ -10,6 +10,7 @@ from triaut.polynomials import (
     EXPONENT_BITS,
     MINUS_INFINITY,
     Polynomial,
+    _weighted_degree,
     as_scalar,
     monomials_up_to_degree,
     term_order_key,
@@ -34,6 +35,58 @@ def test_add_identity_and_inverse():
     assert p + Polynomial.zero() == p
     assert p + (-p) == Polynomial.zero(2)
     assert not (p - p)
+
+
+def _over(rng, den):
+    """A random polynomial in x1, x2 of degree <= 2 whose denominator is
+    exactly `den`: one coefficient is 1/den, the others k/den."""
+    keys = list(monomials_up_to_degree(2, 2))
+    terms = {key: Fraction(rng.randint(-3, 3), den) for key in rng.sample(keys, 4)}
+    terms[rng.choice(keys)] = Fraction(1, den)
+    p = Polynomial(terms, 2)
+    assert p._den == den
+    return p
+
+
+def _snapshot(p):
+    return dict(p._num), p._den, str(p), hash(p)
+
+
+def _terms_oracle(a, b, sign):
+    out = dict(a.terms)
+    for key, c in b.terms.items():
+        out[key] = out.get(key, 0) + sign * Fraction(c)
+    return {key: c for key, c in out.items() if c}
+
+
+# (denominator of a, denominator of b): one divides the other, coprime,
+# equal, and integer polynomials against rational ones.
+DENOMINATORS = [(6, 3), (3, 6), (4, 9), (6, 6), (1, 1), (1, 5), (5, 1)]
+
+
+@pytest.mark.parametrize("da, db", DENOMINATORS)
+def test_add_and_sub_match_the_terms_oracle_and_leave_operands_unchanged(da, db):
+    rng = Random(da * 100 + db)
+    for _ in range(25):
+        a, b = _over(rng, da), _over(rng, db)
+        before = _snapshot(a), _snapshot(b)
+        for x, y, sign in [(a, b, 1), (a, b, -1), (b, a, -1), (a, a, 1), (a, a, -1),
+                           (b, b, 1), (a, -a, 1)]:
+            result = x + y if sign == 1 else x - y
+            assert dict(result.terms) == _terms_oracle(x, y, sign)
+            assert result == Polynomial(result.terms, 2)  # normalised
+        assert (_snapshot(a), _snapshot(b)) == before
+
+
+def test_weighted_degree_matches_the_terms_oracle():
+    rng = Random(71)
+    for _ in range(100):
+        nvars = rng.randint(1, 4)
+        p = random_polynomial(rng, nvars, 3)
+        # fewer weights than variables: the rest are not counted
+        weights = [rng.randint(1, 9) for _ in range(rng.randint(0, nvars))]
+        expected = max((sum(e * w for e, w in zip(key, weights)) for key in p.terms), default=0)
+        assert _weighted_degree(p, weights) == expected
 
 
 def test_mul_expands_binomial_square():
