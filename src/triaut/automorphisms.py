@@ -60,7 +60,7 @@ class TriangularAutomorphism:
     __slots__ = ("n", "lambdas", "tails", "_nested")
 
     def __init__(self, n: int, lambdas: Sequence, tails: Sequence):
-        tails = _triangular(n, tails, "tails", "tail of coordinate {}")
+        tails = _triangular(n, tails, "tails", _TAIL_LABEL)
         lambdas = tuple(as_scalar(l) for l in lambdas)
         if len(lambdas) != n:
             raise TriangularityError(f"expected {n} scalars, got {len(lambdas)}")
@@ -333,10 +333,20 @@ def _triangular(n: int, polys: Sequence, noun: str, label: str) -> tuple[Polynom
             p = Polynomial.constant(p, n)
         mv = p.max_variable()
         if mv >= i:
-            allowed = f"only x1..x{i - 1} allowed" if i > 1 else "it must be a constant"
-            raise TriangularityError(f"{label.format(i)} mentions x{mv}; {allowed}")
+            raise _shape_error(label, i, mv)
         out.append(p.promoted(n))
     return tuple(out)
+
+
+# Entry i of a map's tuple, in `_shape_error`'s text.
+_TAIL_LABEL = "tail of coordinate {}"
+
+
+def _shape_error(label: str, i: int, top: int) -> TriangularityError:
+    """The error for entry i of a triangular tuple that mentions x_top, top
+    >= i; `label`, formatted with i, names the entry."""
+    allowed = f"only x1..x{i - 1} allowed" if i > 1 else "it must be a constant"
+    return TriangularityError(f"{label.format(i)} mentions x{top}; {allowed}")
 
 
 def _random_tails(n: int, max_degree: int, rng: Random, density: float) -> list[Polynomial]:

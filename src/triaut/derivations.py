@@ -19,13 +19,17 @@ from .automorphisms import TriangularAutomorphism, _random_tails, _triangular, _
 from .errors import CapExceededError
 from .polynomials import Polynomial, _checked_int, _weighted_degree, as_scalar
 
+# Entry i of a derivation's tuple, in `automorphisms._shape_error`'s text.
+_COEFFICIENT_LABEL = "coefficient of d/dx{}"
+
+
 class TriangularDerivation:
     """Coefficient tuple (g_1, ..., g_n) of a triangular derivation."""
 
     __slots__ = ("n", "coeffs")
 
     def __init__(self, n: int, coeffs: Sequence):
-        self.coeffs = _triangular(n, coeffs, "coefficients", "coefficient of d/dx{}")
+        self.coeffs = _triangular(n, coeffs, "coefficients", _COEFFICIENT_LABEL)
         self.n = n
 
     def apply(self, p: Polynomial) -> Polynomial:

@@ -37,8 +37,8 @@ import re
 from itertools import groupby
 from typing import Iterable
 
-from .automorphisms import TriangularAutomorphism
-from .derivations import TriangularDerivation
+from .automorphisms import TriangularAutomorphism, _TAIL_LABEL, _shape_error
+from .derivations import TriangularDerivation, _COEFFICIENT_LABEL
 from .errors import ParseError
 from .polynomials import (
     EXPONENT_BITS,
@@ -204,10 +204,13 @@ def parse_polynomial(text: str) -> Polynomial:
 
 _HEADER_RE = re.compile(r"^n\s*=\s*(\d+)$")
 
-# The two file formats as (line prefix, arrow, what a line gives, line
-# pattern): "x<i> -> <poly>" coordinates and "dx<i> <- <poly>" coefficients.
-_AUTOMORPHISM_FILE = ("x", "->", "coordinate", re.compile(r"^x(\d+)\s*->\s*(.*)$"))
-_DERIVATION_FILE = ("dx", "<-", "coefficient", re.compile(r"^dx(\d+)\s*<-\s*(.*)$"))
+# The two file formats as (line prefix, arrow, what a line gives, entry
+# label of the shape error, line pattern): "x<i> -> <poly>" coordinates
+# and "dx<i> <- <poly>" coefficients.
+_AUTOMORPHISM_FILE = ("x", "->", "coordinate", _TAIL_LABEL,
+                      re.compile(r"^x(\d+)\s*->\s*(.*)$"))
+_DERIVATION_FILE = ("dx", "<-", "coefficient", _COEFFICIENT_LABEL,
+                    re.compile(r"^dx(\d+)\s*<-\s*(.*)$"))
 
 
 def _coordinate_file(lines: Iterable[tuple[int, str]],
@@ -215,8 +218,13 @@ def _coordinate_file(lines: Iterable[tuple[int, str]],
     """(n, [expression of line i for i = 1..n]) from the header "n=<int>"
     and the n lines that follow it in order, given as (file line number,
     line) pairs; blank lines are skipped.  Each expression is (numerators,
-    denominator, nvars) as `_ExprParser.parse` returns it."""
-    prefix, arrow, kind, line_re = file_format
+    denominator, nvars) as `_ExprParser.parse` returns it.
+
+    A line that names a variable beyond x_n raises the entry's
+    TriangularityError once it is tokenized, before any key is packed (a
+    key has one field per variable up to the index named), even where
+    that variable would cancel."""
+    prefix, arrow, kind, label, line_re = file_format
     lines = [(num, line) for num, line in lines if line.strip()]
     if not lines:
         raise ParseError("empty input; expected a header line 'n=<int>'")
@@ -243,7 +251,10 @@ def _coordinate_file(lines: Iterable[tuple[int, str]],
             raise ParseError(f"{kind} lines must appear in order; expected "
                              f"{prefix}{i}, found {prefix}{index}", num, 1)
         col = len(raw) - len(raw.lstrip()) + match.start(2) + 1
-        exprs.append(_ExprParser(match.group(2), (num, col)).parse())
+        parser = _ExprParser(match.group(2), (num, col))
+        if parser.nvars > n:
+            raise _shape_error(label, i, parser.nvars)
+        exprs.append(parser.parse())
     return n, exprs
 
 

@@ -20,19 +20,16 @@ Exponents must stay below 2**EXPONENT_BITS.  Construction rejects a
 larger one with ValueError, and a product whose exponent would reach
 the limit sets a guard bit, which is checked once per product (one pass
 over the result's keys), and raises ValueError instead of carrying into
-the next variable.  Substitution checks the guard bits after every
-multiplication or key shift it makes, as one unchecked step can carry
-past the guard, and checks e * (largest exponent of a) before it shifts
-keys by e*a.
+the next variable.  Substitution is a chain of such products, each
+checked: two exponents below the limit sum to less than twice it, so a
+step can set a guard bit but never carry past it.
 
 Substitution evaluates by the multivariate Horner scheme: the polynomial
 is split on its highest variable and acc = acc * image + coefficient is
 folded in from the top power down, each coefficient evaluated the same
-way.  Each step multiplies into one fresh numerator dict and adds the
-coefficient into that same dict, over a running common denominator.  A
-one-term image (p/q) x^a takes no products: each coefficient is
-evaluated once and added with its keys shifted by e*a and its numerators
-scaled by p^e.  One kernel, `_substitute_add`, returns p(images) +
+way, whatever the image.  Each step multiplies into one fresh numerator
+dict and adds the coefficient into that same dict, over a running common
+denominator.  One kernel, `_substitute_add`, returns p(images) +
 c * addend: the addend is added into the evaluated dict and the result
 normalised once, so `substitute` and the compose and invert of
 `triaut.automorphisms` (tail' = p'(coordinates) + lambda' * tail) build
@@ -41,9 +38,8 @@ no intermediate polynomial.
 One function, `_merged`, adds one numerator dict into another over the
 lcm of their denominators: for `+` and `-`, the addend of
 `_substitute_add`, a map's coordinate lambda * x_i + tail and each term
-that `triaut.parsing` reads.  Two loops keep their own merge: `_horner`
-folds its rescale into a product's one pass, and `_monomial_fold` knows
-every denominator first and never rescales its output.
+that `triaut.parsing` reads.  One loop keeps its own merge: `_horner`
+folds its rescale into a product's one pass.
 
 The form is normalised: the denominator is positive and shares no factor
 with all numerators together (it is 1 for integer polynomials, which
@@ -165,14 +161,6 @@ def _weighted_degree(p: "Polynomial", weights: Sequence[int]) -> int:
     return best
 
 
-def _max_exponent(key: int) -> int:
-    m = 0
-    while key:
-        m = max(m, key & _MASK)
-        key >>= _SHIFT
-    return m
-
-
 @cache
 def _guards(nvars: int) -> int:
     return sum(_LIMIT << (_SHIFT * i) for i in range(nvars))
@@ -231,9 +219,16 @@ def _normalised(num: dict[int, int], den: int, nvars: int) -> "Polynomial":
 
 
 def _combine(a: "Polynomial", b: "Polynomial", sign: int) -> "Polynomial":
-    """a + sign*b; a term that cancels is dropped."""
+    """a + sign*b; a term that cancels is dropped.  A zero operand costs
+    nothing: the other one (negated for a - b) is handed back, in the
+    wider ambient."""
+    nvars = max(a.nvars, b.nvars)
+    if not b._num:
+        return a.promoted(nvars)
+    if not a._num:
+        return (b if sign == 1 else -b).promoted(nvars)
     num, den = _merged(a._num, a._den, b._num, b._den, sign, False)
-    return _normalised(num, den, max(a.nvars, b.nvars))
+    return _normalised(num, den, nvars)
 
 
 def _merged(num: dict[int, int], den: int, terms: dict[int, int], tden: int,
@@ -254,13 +249,10 @@ def _merged(num: dict[int, int], den: int, terms: dict[int, int], tden: int,
     return num, den
 
 
-def _add_into(out: dict[int, int], terms: dict[int, int], scale: int,
-              shift: int = 0) -> None:
-    """out += scale * x^shift * terms, in place (`shift` a packed key); a
-    term that cancels is dropped."""
+def _add_into(out: dict[int, int], terms: dict[int, int], scale: int) -> None:
+    """out += scale * terms, in place; a term that cancels is dropped."""
     get = out.get
     for key, c in terms.items():
-        key += shift
         prev = get(key)
         if prev is None:
             out[key] = c * scale
@@ -310,8 +302,8 @@ def _horner(num: dict[int, int], images: list["Polynomial"],
     scheme", SIAM J. Numer. Anal. 37, 2000): split `num` on its highest
     variable x_v as sum_e c_e * x_v^e, evaluate each c_e recursively, and
     fold them in as acc = acc * images[v-1] + c_e from the top power down.
-    Each step writes one fresh dict over the lcm of the two denominators.
-    A one-term image takes no products: see `_monomial_fold`.
+    Each step writes one fresh dict over the lcm of the two denominators,
+    and `_product` checks its guard bits.
 
     A constant `num` is returned as is, not copied.
     """
@@ -328,8 +320,6 @@ def _horner(num: dict[int, int], images: list["Polynomial"],
         else:
             part[key & low] = c
     y = images[top - 1]
-    if len(y._num) == 1:
-        return _monomial_fold(parts, y, images, guards)
     e = max(parts)
     acc, den = _horner(parts[e], images, guards)
     while e:
@@ -347,42 +337,6 @@ def _horner(num: dict[int, int], images: list["Polynomial"],
         _add_into(acc, pnum, den // g)
         den = den // g * pden
     return acc, den
-
-
-def _monomial_fold(parts: dict[int, dict[int, int]], y: "Polynomial",
-                   images: list["Polynomial"], guards: int) -> tuple[dict[int, int], int]:
-    """sum_e parts[e](images) * y^e for a one-term image y = (p/q) x^a, as
-    (numerators, denominator): each part is evaluated once and added with
-    its keys shifted by e*a and its numerators scaled by p^e, over the lcm
-    of the parts' denominators times q^e.
-
-    A key times e can carry from one exponent field into the next, past
-    its guard bit, so e * (largest exponent of a) is checked before the
-    shift; the sums of shifted keys are then checked by their guard bits.
-    """
-    [(a, p)] = y._num.items()
-    q = y._den
-    top = _max_exponent(a)
-    evaluated = []
-    den = 1
-    for e, part in parts.items():
-        pnum, pden = _horner(part, images, guards)
-        if pnum:
-            if e * top >= _LIMIT:
-                raise ValueError(f"substitution has an exponent not below 2**{EXPONENT_BITS}")
-            pden *= q ** e
-            # pairwise: lcm(*generator) leaves resized argument tuples in
-            # the interpreter's free lists, and peak RSS grows over a run
-            den = lcm(den, pden)
-            evaluated.append((e, pnum, pden))
-    # Not `_merged`: every part's denominator is known before the first
-    # add, so `out` starts over the final lcm and is never rescaled.
-    out: dict[int, int] = {}
-    for e, pnum, pden in evaluated:
-        _add_into(out, pnum, p ** e * (den // pden), e * a)
-    if reduce(or_, out, 0) & guards:
-        raise ValueError(f"substitution has an exponent not below 2**{EXPONENT_BITS}")
-    return out, den
 
 
 def _substitute_add(p: "Polynomial", images: Sequence["Polynomial"], nvars: int,

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
@@ -261,6 +262,9 @@ FILE_FORMAT_ERRORS = [
      "line 3, col 1: coordinate lines must appear in order; expected x1, found x2"),
     (parse_automorphism, "n=2\nx1 -> x1 + x2\nx2 -> x2\n", TriangularityError,
      "tail of coordinate 1 mentions x2; it must be a constant"),
+    # an index beyond n is rejected when its line is tokenized, cancelling or not
+    (parse_automorphism, "n=2\nx1 -> x1\nx2 -> x2 + x9 - x9\n", TriangularityError,
+     "tail of coordinate 2 mentions x9; only x1..x1 allowed"),
     (parse_derivation, "n=x\ndx1 <- 1\n", ParseError,
      "line 1, col 1: expected header 'n=<int>', found 'n=x'"),
     (parse_derivation, "n=2\ndx1 <- 1\n", ParseError,
@@ -300,3 +304,22 @@ def test_tail_beyond_the_ambient_is_reported_as_non_triangular():
     with pytest.raises(TriangularityError) as err:
         parse_automorphism("n=2\nx1 -> x1\nx2 -> x2 + x3\n")
     assert str(err.value) == "tail of coordinate 2 mentions x3; only x1..x1 allowed"
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_automorphism, "n=2\nx1 -> x1\nx2 -> x2 + x3000000\n",
+     "tail of coordinate 2 mentions x3000000; only x1..x1 allowed"),
+    (parse_derivation, "n=2\ndx1 <- 1\ndx2 <- 1 + x3000000\n",
+     "coefficient of d/dx2 mentions x3000000; only x1..x1 allowed"),
+])
+def test_index_beyond_n_is_rejected_before_a_key_is_packed(parse, text, message):
+    # a packed key for x3000000 would take 17 * 3000000 bits
+    tracemalloc.start()
+    try:
+        with pytest.raises(TriangularityError) as err:
+            parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == message
+    assert peak < 2 ** 20

@@ -78,6 +78,27 @@ def test_add_and_sub_match_the_terms_oracle_and_leave_operands_unchanged(da, db)
         assert (_snapshot(a), _snapshot(b)) == before
 
 
+def test_adding_or_subtracting_zero_hands_back_the_other_operand():
+    p = Fraction(3, 4) * x1 ** 2 - x2 / 6 + 1
+    before = _snapshot(p)
+    assert p + 0 is p
+    assert p - 0 is p
+    assert p + Polynomial.zero(2) is p
+    assert 0 + p == p
+    assert 0 - p == -p
+    assert Polynomial.zero(2) - p == -p
+    # the result takes the wider ambient
+    for result in [p + Polynomial.zero(4), Polynomial.zero(4) + p, p - Polynomial.zero(4)]:
+        assert result == p and result.nvars == 4
+    result = Polynomial.zero(4) - p
+    assert result == -p and result.nvars == 4
+    zero = Polynomial.zero(3)
+    assert (zero + zero).nvars == 3
+    assert (zero - Polynomial.zero(5)).nvars == 5
+    assert _snapshot(p) == before
+    assert _snapshot(zero) == ({}, 1, "0", hash(0))
+
+
 def test_weighted_degree_matches_the_terms_oracle():
     rng = Random(71)
     for _ in range(100):
@@ -427,19 +448,54 @@ def test_one_term_images_match_the_term_by_term_oracle():
 
 
 def test_one_term_image_exponent_boundary():
+    # A one-term image is folded in by products like any other image, and
+    # the guard check after each product catches every overflow below.
     top = 2 ** EXPONENT_BITS - 1  # 65535 = 3 * 21845 = 5 * 13107
     c = Fraction(-2, 3)
     assert (x1 ** 3).substitute([c * x2 ** 21845, x2]) == c ** 3 * x2 ** top
     assert (x1 ** 5 * x2).substitute([x2 ** 13107, x1]) == \
         Polynomial({(1, top): 1})
-    with pytest.raises(ValueError):  # 4 * 16384 = 2**16 sets the guard bit
+    with pytest.raises(ValueError):  # the fourth product reaches 4 * 16384 = 2**16
         (x1 ** 4).substitute([c * x2 ** 16384, x2])
-    with pytest.raises(ValueError):  # a sum of shifted keys reaches 2**16
+    with pytest.raises(ValueError):  # x1^65534 times the image x1^2 reaches 2**16
         (x1 ** (top - 1) * x2).substitute([x1, x1 ** 2])
-    with pytest.raises(ValueError):  # 5 * 30000 >= 2**17 carries past the guard bit
+    # the third product (90000) is caught before 5 * 30000 could carry past the guard
+    with pytest.raises(ValueError):
         (x1 ** 5).substitute([x2 ** 30000, x2])
-    # a part that evaluates to 0 is never shifted, so it cannot overflow
+    # the part x1 evaluates to 0, so its products with x1^30000 have no key
     assert (x1 * x2 ** 5).substitute([Polynomial.zero(2), x1 ** 30000]) == 0
+
+
+# Degree 27 is the bound m^(n-1) of the theorem for (n, m) = (4, 3).
+def test_degree_27_parts_at_one_term_images_match_the_oracle():
+    dense = (1 + x1) ** 27
+    for image in [Fraction(-2, 3) * x1, Fraction(5, 2) * x2 ** 3]:
+        images = [image, x2]
+        assert dense.substitute(images) == reference_substitute(dense, images)
+    # split on x3, each part is a dense polynomial in x1 and x2 of degree 27
+    two = (Fraction(1, 2) + x1 - Fraction(2, 3) * x2) ** 27 * (x3 - 3) ** 2
+    images = [Fraction(-3, 2) * x2, Fraction(7, 3) * x1, Fraction(5, 4) * x1 ** 2]
+    assert two.substitute(images) == reference_substitute(two, images)
+
+
+def test_degree_27_compose_at_a_one_term_x1_image_matches_the_oracle():
+    rng = Random(127)
+    x1_, x2_, x3_ = (Polynomial.variable(i, 4) for i in (1, 2, 3))
+    # the x_{i-1}^3 term of each tail i multiplies the degree by 3 per factor
+    phi = make(4, [Fraction(2, 3), -2, Fraction(1, 2), 3],
+               [Fraction(1, 2), x1_ - Fraction(1, 3) * x1_ ** 3,
+                x2_ ** 3 - Fraction(2, 5) * x1_ * x2_ + x1_ ** 2,
+                Fraction(3, 4) * x3_ ** 3 + x1_ * x3_ - x2_ ** 2])
+    outer = compose_all([phi, phi, phi], 4)
+    assert outer.degree() == 27
+    # tail 1 is 0, so x1's image x1 -> -5/2 x1 has one term
+    inner = make(4, [Fraction(-5, 2), Fraction(1, 2), 3, Fraction(-1, 3)],
+                 [0] + [random_polynomial(rng, i, 3, density=0.4).promoted(4)
+                        for i in range(1, 4)])
+    images = inner.coordinates()
+    assert len(images[0]._num) == 1
+    assert compose(outer, inner).coordinates() == [reference_substitute(f, images)
+                                                   for f in outer.coordinates()]
 
 
 # -- the terms view --------------------------------------------------------------
