@@ -29,7 +29,6 @@ exactly how far they can grow is the point of the degree fuzz harness
 
 from __future__ import annotations
 
-from fractions import Fraction
 from random import Random
 from typing import Sequence
 
@@ -38,6 +37,7 @@ from .polynomials import (
     Monomial,
     Polynomial,
     Scalar,
+    _binary_power,
     _checked_index,
     _checked_int,
     _coordinate,
@@ -109,7 +109,7 @@ class TriangularAutomorphism:
                 and self.tails == other.tails)
 
     def __hash__(self) -> int:
-        return hash((self.n, tuple(Fraction(l) for l in self.lambdas), self.tails))
+        return hash((self.n, self.lambdas, self.tails))
 
     def to_text(self) -> str:
         lines = [f"n={self.n}"]
@@ -231,15 +231,7 @@ def power(phi: TriangularAutomorphism, k: int) -> TriangularAutomorphism:
     _checked_int(k, "power exponent")
     if k < 0:
         return power(invert(phi), -k)
-    result = identity(phi.n)
-    base = phi
-    while k:
-        if k & 1:
-            result = compose(result, base)
-        k >>= 1
-        if k:
-            base = compose(base, base)
-    return result
+    return _binary_power(phi, k, compose, identity(phi.n))
 
 
 def commutator(phi: TriangularAutomorphism,

@@ -1,7 +1,10 @@
 """Command-line interface over files and stdin.
 
 Exit codes: 0 success, 1 a checked mathematical property was falsified,
-2 input or usage error.  With --json, output is a single object with the
+2 input or usage error.  A handler's error leaves through one exit: a
+`PropertyViolation` gives 1 and "property violation: ...", a ValueError
+(`ParseError` and `TriangularityError` among them) or OSError gives 2
+and "error: ...".  With --json, output is a single object with the
 fixed key set {command, inputs, result, diagnostics} on both success and
 failure, usage errors included.
 
@@ -34,7 +37,7 @@ from .automorphisms import (
     power,
 )
 from .derivations import TriangularDerivation, bracket, exponential
-from .errors import ParseError, PropertyViolation, TriangularityError
+from .errors import PropertyViolation
 from .lie import closure_report, lie_closure
 from .parsing import parse_automorphism, parse_derivation, parse_derivation_blocks
 
@@ -256,16 +259,12 @@ def run(argv=None, stdout=None, stderr=None, stdin=None) -> int:
     args.stdin = stdin
     try:
         result, human = _render(command.handler(args))
-    except PropertyViolation as exc:
+    except (PropertyViolation, ValueError, OSError) as exc:
+        violated = isinstance(exc, PropertyViolation)
         if wants_json:
             _emit_json(args.command, [], None, [str(exc)], stdout)
-        print(f"property violation: {exc}", file=stderr)
-        return 1
-    except (ParseError, TriangularityError, ValueError, OSError) as exc:
-        if wants_json:
-            _emit_json(args.command, [], None, [str(exc)], stdout)
-        print(f"error: {exc}", file=stderr)
-        return 2
+        print(f"{'property violation' if violated else 'error'}: {exc}", file=stderr)
+        return 1 if violated else 2
     if wants_json:
         _emit_json(args.command, _inputs(command, args), result, [], stdout)
     else:

@@ -1,8 +1,10 @@
 """Shared exception types.
 
-Exit-code mapping in the CLI: PropertyViolation (and subclasses) means a
-mathematical invariant was falsified and maps to exit code 1; input-side
-errors (ParseError, TriangularityError, ValueError, OSError) map to exit 2.
+Exit-code mapping in the CLI, through its one handler-error exit:
+PropertyViolation (and subclasses) means a mathematical invariant was
+falsified and maps to exit code 1; input-side errors map to exit 2.
+These are ValueError, which ParseError and TriangularityError subclass,
+and OSError.
 """
 
 

@@ -28,7 +28,7 @@ from .automorphisms import (
 )
 from .derivations import exponential
 from .errors import PropertyViolation
-from .polynomials import Polynomial, as_scalar
+from .polynomials import Polynomial, Scalar, as_scalar
 
 _FUZZ_DENSITY = 0.25      # degree_fuzz's pool maps
 _DEPTH_DEGREE = 2         # derived_depth_test's commutator leaves
@@ -214,7 +214,7 @@ def unipotent_generation_test(derivations, max_word_len: int, trials: int,
     if max_word_len < 1 or trials < 1:
         raise ValueError("max_word_len and trials must be positive")
     rng = Random(seed)
-    exp_cache: dict[tuple[int, Fraction], TriangularAutomorphism] = {}
+    exp_cache: dict[tuple[int, Scalar], TriangularAutomorphism] = {}
     max_degree = 0
     for trial in range(trials):
         length = rng.randint(1, max_word_len)
@@ -222,7 +222,7 @@ def unipotent_generation_test(derivations, max_word_len: int, trials: int,
         for _ in range(length):
             idx = rng.randrange(len(derivations))
             s = rng.choice(_EXP_SCALARS)
-            key = (idx, Fraction(s))
+            key = (idx, s)
             factor = exp_cache.get(key)
             if factor is None:
                 factor = exponential(derivations[idx], s)

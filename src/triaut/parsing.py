@@ -34,6 +34,7 @@ print -> parse -> print is a fixed point byte for byte.
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from itertools import groupby
 from typing import Iterable
 
@@ -55,6 +56,16 @@ _TOKEN_RE = re.compile(r"\s*(?:(\d+)|(x\d+)|([+\-*/^()])|(\S))")
 
 # Numerators, denominator and ambient nvars of an expression, not normalised.
 _Parsed = tuple[dict[int, int], int, int]
+
+
+def _integer(digits: str) -> int:
+    """The int an INT token spells.  Past the interpreter's limit on
+    str-to-int conversion (4,300 digits by default) `decimal.Decimal`
+    converts instead: exactly, and with no digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        return int(Decimal(digits))
 
 
 class _ExprParser:
@@ -91,7 +102,7 @@ class _ExprParser:
             value = match[kind]
             offset = match.start(kind)
             if kind == 1:
-                tokens.append(("int", int(value), offset))
+                tokens.append(("int", _integer(value), offset))
             elif kind == 2:
                 index = int(value[1:])
                 if index < 1:

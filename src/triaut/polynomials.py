@@ -60,12 +60,14 @@ its operands' ambients.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
+from itertools import product
 from math import gcd, lcm
 from operator import or_
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 Monomial = tuple[int, ...]
@@ -109,18 +111,16 @@ def term_order_key(exponents: Monomial):
     return (sum(exponents), tuple(-e for e in exponents))
 
 
-def monomials_up_to_degree(nvars: int, max_degree: int) -> Iterator[Monomial]:
-    """Yield all exponent tuples of length nvars with total degree <= max_degree,
-    in canonical term order."""
-    def rec(remaining_vars: int, budget: int):
-        if remaining_vars == 0:
-            yield ()
-            return
-        for e in range(budget + 1):
-            for rest in rec(remaining_vars - 1, budget - e):
-                yield (e,) + rest
-
-    yield from sorted(rec(nvars, max_degree), key=term_order_key)
+@lru_cache(maxsize=None, typed=True)
+def monomials_up_to_degree(nvars: int, max_degree: int) -> tuple[Monomial, ...]:
+    """All exponent tuples of length nvars with total degree <= max_degree,
+    in canonical term order: one tuple per (nvars, max_degree), built on
+    the first request and shared by every later one.  Both must be ints
+    (not bool), else TypeError."""
+    _checked_int(nvars, "nvars")
+    _checked_int(max_degree, "max_degree")
+    return tuple(sorted((e for e in product(range(max_degree + 1), repeat=nvars)
+                         if sum(e) <= max_degree), key=term_order_key))
 
 
 def _pack(exponents: Sequence[int]) -> int:
@@ -185,6 +185,16 @@ def _ambient(nvars, width: int) -> int:
     return nvars
 
 
+def _digits(n: int) -> str:
+    """The decimal digits of the int n.  Past the interpreter's limit on
+    int-to-str conversion (4,300 digits by default) `decimal.Decimal`
+    converts instead: exactly, and with no digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
 def _checked_int(value, what: str) -> None:
     """Raise TypeError unless `value` is an int (not bool); `what` names it."""
     if type(value) is not int:
@@ -218,10 +228,15 @@ def _normalised(num: dict[int, int], den: int, nvars: int) -> "Polynomial":
     return _make(num, den, nvars)
 
 
-def _combine(a: "Polynomial", b: "Polynomial", sign: int) -> "Polynomial":
-    """a + sign*b; a term that cancels is dropped.  A zero operand costs
-    nothing: the other one (negated for a - b) is handed back, in the
-    wider ambient."""
+def _combine(a: "Polynomial", b, sign: int) -> "Polynomial":
+    """a + sign*b for a polynomial or scalar b (a scalar is a constant in
+    a's ambient), NotImplemented for anything else; a term that cancels is
+    dropped.  A zero operand costs nothing: the other one (negated for
+    a - b) is handed back, in the wider ambient."""
+    if isinstance(b, (int, Fraction)):
+        b = Polynomial.constant(b, a.nvars)
+    elif not isinstance(b, Polynomial):
+        return NotImplemented
     nvars = max(a.nvars, b.nvars)
     if not b._num:
         return a.promoted(nvars)
@@ -364,6 +379,19 @@ def _substitute_add(p: "Polynomial", images: Sequence["Polynomial"], nvars: int,
     return _normalised(num, den, nvars)
 
 
+def _binary_power(base, k: int, mul: Callable, result):
+    """base**k under the associative `mul`, by square-and-multiply from
+    `result`, the unit (k >= 0): the one powering loop, behind
+    `Polynomial.__pow__` and `triaut.automorphisms.power`."""
+    while k:
+        if k & 1:
+            result = mul(result, base)
+        k >>= 1
+        if k:
+            base = mul(base, base)
+    return result
+
+
 def _coordinate(lam: Scalar, index: int, tail: "Polynomial") -> "Polynomial":
     """lam * x_index + tail for a nonzero lam and a tail free of x_index,
     built on the tail's numerators over the lcm of the two denominators.
@@ -496,10 +524,6 @@ class Polynomial:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(other, self.nvars)
-        elif not isinstance(other, Polynomial):
-            return NotImplemented
         return _combine(self, other, 1)
 
     __radd__ = __add__
@@ -508,10 +532,6 @@ class Polynomial:
         return _make({k: -c for k, c in self._num.items()}, self._den, self.nvars)
 
     def __sub__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(other, self.nvars)
-        elif not isinstance(other, Polynomial):
-            return NotImplemented
         return _combine(self, other, -1)
 
     def __rsub__(self, other) -> "Polynomial":
@@ -552,16 +572,7 @@ class Polynomial:
         _checked_int(exponent, "polynomial exponent")
         if exponent < 0:
             raise ValueError("polynomial exponents must be non-negative integers")
-        result = Polynomial.one(self.nvars)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _binary_power(self, exponent, Polynomial.__mul__, Polynomial.one(self.nvars))
 
     # -- calculus and substitution --------------------------------------
 
@@ -624,7 +635,7 @@ class Polynomial:
         for _, _, factors, c in rows:
             g = gcd(c, den)
             p, q = abs(c) // g, den // g
-            coeff = str(p) if q == 1 else f"{p}/{q}"
+            coeff = _digits(p) if q == 1 else f"{_digits(p)}/{_digits(q)}"
             vars_part = "*".join(factors)
             if not vars_part:
                 body = coeff

@@ -64,6 +64,23 @@ def test_make_rejects_nonconstant_first_tail():
         make(2, (1, 1), (Polynomial.variable(1, 2), 0))
 
 
+@pytest.mark.parametrize("args, text", [
+    ((0, (), ()), "ambient dimension must be at least 1"),
+    ((2, (1, 1), (0,)), "expected 2 tails, got 1"),
+    ((2, (1,), (0, 0)), "expected 2 scalars, got 1"),
+])
+def test_make_rejects_wrong_counts(args, text):
+    with pytest.raises(TriangularityError, match=f"^{text}$"):
+        make(*args)
+
+
+def test_integral_fraction_lambdas_are_the_ints():
+    a = make(2, (Fraction(2, 1), 1), (0, x1.promoted(2)))
+    b = make(2, (2, 1), (0, x1.promoted(2)))
+    assert a == b and hash(a) == hash(b) and a.lambdas == (2, 1)
+    assert type(a.lambdas[0]) is int
+
+
 def test_make_one_dimensional_affine():
     phi = make(1, (2,), (Fraction(1, 2),))
     assert phi.coordinate(1) == 2 * Polynomial.variable(1) + Fraction(1, 2)
@@ -290,6 +307,14 @@ def test_compose_through_an_inverse_overflow_raises():
     inner = make(3, (1, 1, 1), (0, Polynomial.monomial(1, (30000,), 3), 0))
     with pytest.raises(ValueError):
         compose(psi, inner)
+
+
+def test_power_equals_k_fold_composition():
+    phi = make(3, (2, Fraction(-1, 2), 1), (Fraction(1, 3), x1 ** 2 - 1, x1 * x2))
+    product = identity(3)
+    for k in range(10):
+        assert power(phi, k) == product
+        product = compose(product, phi)
 
 
 def test_power_negative_and_zero():

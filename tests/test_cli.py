@@ -1,11 +1,13 @@
 import io
 import json
+import sys
 
 import pytest
 
 from triaut import cli
 from triaut.cli import run
 from triaut.errors import PropertyViolation
+from triaut.parsing import parse_automorphism
 
 TOWER_MAP = "n=3\nx1 -> x1\nx2 -> x2 + x1^2\nx3 -> x3 + x2^2\n"
 TOWER_SQUARE = ("n=3\nx1 -> x1\nx2 -> x2 + 2*x1^2\n"
@@ -125,6 +127,27 @@ def test_exp_command(flow_file):
     code, out, _ = invoke(["exp", flow_file, "1/2"])
     assert code == 0
     assert out == "n=2\nx1 -> x1\nx2 -> 1/2*x1 + x2\n"
+
+
+def test_exp_rejects_a_parameter_that_is_not_a_rational(flow_file):
+    code, out, err = invoke(["exp", flow_file, "--", "abc"])
+    assert code == 2 and out == ""
+    assert err.endswith("triaut exp: error: argument s: not an exact rational: 'abc'\n")
+
+
+def test_results_past_the_int_str_digit_limit_exit_zero(tmp_path):
+    # the square's tails hold integers of up to 9,000 digits
+    sevens = "7" * 3000
+    path = tmp_path / "big.aut"
+    path.write_text(f"n=2\nx1 -> x1 + {sevens}\nx2 -> x2 + {sevens}*x1^2\n")
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    code, out, err = invoke(["compose", str(path), str(path)])
+    assert (code, err) == (0, "")
+    assert len(out) == 21045
+    assert invoke(["invert", "-"], stdin_text=out)[0] == 0
+    assert parse_automorphism(out).to_text() == out
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
 
 
 def test_bracket_command(tmp_path, flow_file):

@@ -325,3 +325,39 @@ def test_random_triangular_derivation_checks_dimension_and_degree_first(bad):
         random_triangular_derivation(bad, 2, seed=1)
     with pytest.raises(TypeError, match="^degree bound must be an int, not "):
         random_triangular_derivation(2, bad, seed=1)
+
+
+def test_apply_rejects_a_polynomial_beyond_n():
+    d = make_derivation(2, [1, Polynomial.variable(1, 2)])
+    with pytest.raises(ValueError, match="mentions x3, beyond n=2"):
+        d.apply(Polynomial.variable(3))
+
+
+def test_sum_and_bracket_need_one_dimension():
+    d = make_derivation(2, [1, Polynomial.variable(1, 2)])
+    e = make_derivation(3, [1, 0, 0])
+    with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
+        d + e
+    with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
+        bracket(d, e)
+
+
+def test_difference_is_the_sum_with_the_negative_and_equal_derivations_hash_equal():
+    rng = Random(41)
+    for _ in range(20):
+        d = random_derivation(rng, n=3)
+        e = random_derivation(rng, n=3)
+        assert d - e == d + (-e)
+        twin = make_derivation(3, list(d.coeffs))
+        assert twin == d and hash(twin) == hash(d)
+
+
+def test_nilpotency_index_of_a_nonzero_constant_is_one():
+    d = make_derivation(2, [1, Polynomial.variable(1, 2)])
+    assert nilpotency_index(d, 5) == 1
+
+
+def test_random_triangular_derivation_is_reproducible():
+    assert random_triangular_derivation(3, 2, seed=3) == random_triangular_derivation(3, 2, seed=3)
+    with pytest.raises(ValueError, match="need n >= 1"):
+        random_triangular_derivation(0, 2, seed=3)

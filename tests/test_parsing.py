@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from fractions import Fraction
 from random import Random
@@ -20,6 +21,16 @@ from helpers import random_polynomial, to_sympy
 x1 = Polynomial.variable(1)
 x2 = Polynomial.variable(2)
 x3 = Polynomial.variable(3)
+
+
+def test_integers_past_the_int_str_digit_limit_round_trip():
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    ones = "1" * 5000
+    p = parse_polynomial(ones)
+    assert p == (10 ** 5000 - 1) // 9 and str(p) == ones
+    assert str(parse_polynomial(f"{ones}/7*x1^2 - x2")) == f"-x2 + {ones}/7*x1^2"
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
 
 
 def test_parse_the_degree_four_coordinate():

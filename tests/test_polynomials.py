@@ -1,3 +1,4 @@
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from random import Random
@@ -6,6 +7,7 @@ import pytest
 
 from triaut.automorphisms import compose, compose_all, invert, make, random_triangular
 from triaut.derivations import exponential, make_derivation
+from triaut.parsing import parse_polynomial
 from triaut.polynomials import (
     EXPONENT_BITS,
     MINUS_INFINITY,
@@ -315,6 +317,65 @@ def test_monomials_up_to_degree():
     keys = list(monomials_up_to_degree(2, 2))
     assert keys == sorted(keys, key=term_order_key)
     assert set(keys) == {(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)}
+    for nvars in range(5):
+        # brute force: every monomial of degree d + 1 is one of degree d times a variable
+        level = {(0,) * nvars}
+        brute = set(level)
+        for degree in range(5):
+            keys = monomials_up_to_degree(nvars, degree)
+            assert keys == tuple(sorted(brute, key=term_order_key))
+            assert monomials_up_to_degree(nvars, degree) is keys  # built once
+            level = {e[:i] + (e[i] + 1,) + e[i + 1:] for e in level for i in range(nvars)}
+            brute |= level
+
+
+def test_monomials_up_to_degree_take_ints_only_whatever_is_cached():
+    monomials_up_to_degree(1, 2)
+    monomials_up_to_degree(2, 2)
+    for args in ((True, 2), (2.0, 2), (2, True), (2, 2.0)):
+        with pytest.raises(TypeError):
+            monomials_up_to_degree(*args)
+
+
+def test_pow_equals_repeated_products():
+    p = Fraction(1, 2) * x1 - x2 + 3
+    product = Polynomial.one(2)
+    for k in range(10):
+        assert p ** k == product
+        product = product * p
+
+
+def test_add_and_sub_reject_non_scalars():
+    p = x1 + 1
+    for bad in (object(), True, 2.0, "1"):
+        with pytest.raises(TypeError):
+            p + bad
+        with pytest.raises(TypeError):
+            p - bad
+        with pytest.raises(TypeError):
+            bad - p
+
+
+def test_duplicate_keys_of_one_monomial_are_summed():
+    # (1,) and (1, 0) pack to the same key
+    assert Polynomial({(1,): 2, (1, 0): 3}) == 5 * x1
+    assert Polynomial({(1,): 2, (1, 0): -2}) == 0
+
+
+def test_promoted_refuses_to_drop_a_variable():
+    with pytest.raises(ValueError, match="cannot shrink ambient below x2"):
+        Polynomial.variable(2, 3).promoted(1)
+
+
+def test_coefficients_past_the_int_str_digit_limit_print_and_parse():
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    big = int(Decimal("9" * 10000))
+    p = big * x1 + Fraction(1, big)
+    text = str(p)
+    assert text == "1/" + "9" * 10000 + " + " + "9" * 10000 + "*x1"
+    assert parse_polynomial(text) == p and str(parse_polynomial(text)) == text
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
 
 
 def test_ring_axioms_on_random_triples():
