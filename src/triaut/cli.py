@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict
@@ -39,7 +40,8 @@ from .automorphisms import (
 from .derivations import TriangularDerivation, bracket, exponential
 from .errors import PropertyViolation
 from .lie import closure_report, lie_closure
-from .parsing import parse_automorphism, parse_derivation, parse_derivation_blocks
+from .parsing import _integer, parse_automorphism, parse_derivation, parse_derivation_blocks
+from .polynomials import Polynomial
 
 
 def _read(args, path: str) -> str:
@@ -49,9 +51,19 @@ def _read(args, path: str) -> str:
         return handle.read()
 
 
+_INT_FRACTION = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def _rational(text: str) -> Fraction:
+    """An exact rational parameter.  An integer or integer fraction reads
+    its numerator and denominator through `parsing._integer`, with no
+    digit limit; other forms ("0.25", "1e3") go through `Fraction`."""
     try:
-        return Fraction(text)
+        match = _INT_FRACTION.fullmatch(text.strip())
+        if match is None:
+            return Fraction(text)
+        numerator, denominator = match.groups()
+        return Fraction(_integer(numerator), _integer(denominator or "1"))
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}")
 
@@ -207,7 +219,9 @@ def _inputs(command: _Command, args) -> list[dict]:
     for name, _ in command.positionals:
         value = getattr(args, name)
         for v in value if isinstance(value, list) else [value]:
-            inputs.append({"name": name, "value": str(v) if isinstance(v, Fraction) else v})
+            # a rational's text is the constant polynomial's: no digit limit
+            inputs.append({"name": name, "value": str(Polynomial.constant(v))
+                           if isinstance(v, Fraction) else v})
     for name in ("word_len", "trials", "seed"):
         if getattr(command, name):
             inputs.append({"name": name, "value": getattr(args, name)})

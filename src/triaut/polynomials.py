@@ -24,16 +24,40 @@ the next variable.  Substitution is a chain of such products, each
 checked: two exponents below the limit sum to less than twice it, so a
 step can set a guard bit but never carry past it.
 
+Products of large operands go by Kronecker substitution on x1 (Kronecker
+1882; Harvey, "Faster polynomial multiplication via multipoint Kronecker
+substitution", J. Symbolic Comput. 44, 2009), which turns the inner
+products along x1 into one C-level int product.  Each operand is split
+into x1-slices, the terms sharing one key with x1's field cleared, and a
+slice sum c * x1^e1 becomes the int sum c << (e1 << 6): one 64-bit slot
+per power of x1.  Slices are multiplied pairwise as ints, summed per key,
+and each sum is read back slot by slot.  Every term product goes through
+one of the two paths, chosen from the operands alone:
+- the schoolbook loop below _PACKED_PAIRS = 256 term pairs, and whenever
+  the packed path does not suit;
+- the packed path when the term pairs are at least _PACKED_FILL = 12 per
+  pair of slices (fewer term products per int product run faster in the
+  loop), and each slice spans at most _PACKED_SPAN = 8 powers of x1 per
+  term (so a sparse exponent such as x1^60000 never packs into a
+  3.8-Mbit int).
+It is exact when max|a| * |scale| * max|b| * min(len(a), len(b)) is below
+2**62: a coefficient of the product sums at most min(len) term products,
+so every slot holds a coefficient of magnitude below 2**62 < 2**63, and
+the slots decode exactly; a larger bound takes the schoolbook loop.  Both
+paths give the same dict of terms, not in the same order, and make the
+same guard-bit check.
+
 Substitution evaluates by the multivariate Horner scheme: the polynomial
 is split on its highest variable and acc = acc * image + coefficient is
 folded in from the top power down, each coefficient evaluated the same
 way, whatever the image.  Each step multiplies into one fresh numerator
 dict and adds the coefficient into that same dict, over a running common
-denominator.  One kernel, `_substitute_add`, returns p(images) +
-c * addend: the addend is added into the evaluated dict and the result
-normalised once, so `substitute` and the compose and invert of
-`triaut.automorphisms` (tail' = p'(coordinates) + lambda' * tail) build
-no intermediate polynomial.
+denominator.  Across a gap of g >= 5 missing powers, a one-term image
+costs one product by its g-th power, built by squaring.  One kernel,
+`_substitute_add`, returns p(images) + c * addend: the addend is added
+into the evaluated dict and the result normalised once, so `substitute`
+and the compose and invert of `triaut.automorphisms` (tail' =
+p'(coordinates) + lambda' * tail) build no intermediate polynomial.
 
 One function, `_merged`, adds one numerator dict into another over the
 lcm of their denominators: for `+` and `-`, the addend of
@@ -60,10 +84,12 @@ its operands' ambients.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache, lru_cache, reduce
-from itertools import product
+from itertools import chain, compress, product
 from math import gcd, lcm
 from operator import or_
 from types import MappingProxyType
@@ -78,6 +104,14 @@ EXPONENT_BITS = 16
 _SHIFT = EXPONENT_BITS + 1
 _LIMIT = 1 << EXPONENT_BITS
 _MASK = _LIMIT - 1
+
+# When a product packs x1 (see the module docstring): from _PACKED_PAIRS
+# term pairs on, at _PACKED_FILL term pairs per pair of x1-slices or
+# more, and at most _PACKED_SPAN powers of x1 per term of a slice.
+_PACKED_PAIRS = 256
+_PACKED_FILL = 12
+_PACKED_SPAN = 8
+_HALF_WORD = (1 << 63).to_bytes(8, "little")
 
 # Degree of the zero polynomial: absorbed by max(), propagates through
 # bound comparisons, and can never be confused with an integer degree.
@@ -281,11 +315,25 @@ def _add_into(out: dict[int, int], terms: dict[int, int], scale: int) -> None:
 
 def _product(ta: dict[int, int], tb: dict[int, int], scale: int,
              guards: int) -> dict[int, int]:
-    """scale * ta * tb as a fresh numerator dict, the larger operand's terms
-    in the outer loop.  Raises ValueError when an exponent reaches
-    2**EXPONENT_BITS, i.e. when a bit of `guards` is set."""
+    """scale * ta * tb as a fresh numerator dict: by `_packed_product` when
+    it takes the operands, else by `_schoolbook`.  Raises ValueError when
+    an exponent reaches 2**EXPONENT_BITS, i.e. when a bit of `guards` is
+    set."""
     if len(ta) < len(tb):
         ta, tb = tb, ta
+    out = None
+    if len(ta) * len(tb) >= _PACKED_PAIRS:
+        out = _packed_product(ta, tb, scale)
+    if out is None:
+        out = _schoolbook(ta, tb, scale)
+    if reduce(or_, out, 0) & guards:
+        raise ValueError(f"product has an exponent not below 2**{EXPONENT_BITS}")
+    return out
+
+
+def _schoolbook(ta: dict[int, int], tb: dict[int, int], scale: int) -> dict[int, int]:
+    """scale * ta * tb, one dict update per term pair, ta's terms in the
+    outer loop."""
     out: dict[int, int] = {}
     get = out.get
     b_items = list(tb.items())
@@ -303,9 +351,86 @@ def _product(ta: dict[int, int], tb: dict[int, int], scale: int,
                     out[key] = s
                 else:
                     del out[key]
-    if reduce(or_, out, 0) & guards:
-        raise ValueError(f"product has an exponent not below 2**{EXPONENT_BITS}")
     return out
+
+
+def _packed_product(ta: dict[int, int], tb: dict[int, int],
+                    scale: int) -> dict[int, int] | None:
+    """scale * ta * tb by Kronecker substitution on x1, or None when the
+    operands do not suit it (see the module docstring).
+
+    Each operand is split into x1-slices by `_x1_slices`.  One int product
+    per pair of slices does all their term products in C, and the products
+    of slice pairs whose rests add to one key are summed.  Each sum is read
+    back by one offset add, one xor and `int.to_bytes`: the offset puts
+    2**63 into each 64-bit slot, so every slot holds c + 2**63 in
+    [0, 2**64) and no borrow crosses a slot, and the xor takes that 2**63
+    back out of each slot's top bit, which leaves the two's complement of
+    c.  The bytes of all sums make one `array("q")`, and a nonzero word c
+    at slot e of the sum at `rest` becomes the term c at key rest + e."""
+    bound = (max(map(abs, ta.values())) * abs(scale) * max(map(abs, tb.values()))
+             * min(len(ta), len(tb)))
+    if bound >> 62:
+        return None
+    pairs = len(ta) * len(tb)
+    sb = _x1_slices(tb, pairs // _PACKED_FILL)
+    sa = _x1_slices(ta, pairs // (_PACKED_FILL * len(sb))) if sb is not None else None
+    if sa is None:
+        return None
+    sums: dict[int, int] = {}
+    get = sums.get
+    for ra, va in sa:
+        if scale != 1:
+            va *= scale
+        for rb, vb in sb:
+            rest = ra + rb
+            prev = get(rest)
+            sums[rest] = va * vb if prev is None else prev + va * vb
+    # bit_length // 64 + 1 slots cover a sum's top slot, as its slots
+    # hold magnitudes below 2**63.  One offset serves every sum: its slots
+    # above a sum's top come back as zero words from the xor.
+    top = max(map(int.bit_length, sums.values())) >> 6
+    offset = int.from_bytes(_HALF_WORD * (top + 1), "little")
+    keys, chunks = [], []
+    for rest, v in sums.items():
+        n = (v.bit_length() >> 6) + 1
+        keys.append(range(rest, rest + n))
+        chunks.append(((v + offset) ^ offset).to_bytes(n << 3, "little"))
+    words = array("q", b"".join(chunks))
+    if sys.byteorder == "big":
+        words.byteswap()
+    return dict(compress(zip(chain.from_iterable(keys), words), words))
+
+
+def _x1_slices(terms: dict[int, int], most: int) -> list[tuple[int, int]] | None:
+    """[(key with its x1 field cleared, sum of c << (e1 << 6) over that
+    slice's terms c * x1^e1 * rest)], or None when there are more than
+    `most` slices or a slice is sparse in x1: its packed int would take
+    more than 64 * _PACKED_SPAN bits per term.  An x1 exponent of
+    _PACKED_SPAN * len(terms) or more makes some slice sparse, and stops
+    the pass before it packs an int that large."""
+    cap = _PACKED_SPAN * len(terms)
+    slices: dict[int, list[int]] = {}
+    get = slices.get
+    for key, c in terms.items():
+        e = key & _MASK
+        if e >= cap:
+            return None
+        part = get(key - e)
+        if part is None:
+            if len(slices) == most:
+                return None
+            slices[key - e] = [c << (e << 6), 1]
+        else:
+            part[0] += c << (e << 6)
+            part[1] += 1
+    limit = _PACKED_SPAN << 6
+    packed = []
+    for rest, (v, count) in slices.items():
+        if v.bit_length() > limit * count:
+            return None
+        packed.append((rest, v))
+    return packed
 
 
 def _horner(num: dict[int, int], images: list["Polynomial"],
@@ -318,7 +443,11 @@ def _horner(num: dict[int, int], images: list["Polynomial"],
     variable x_v as sum_e c_e * x_v^e, evaluate each c_e recursively, and
     fold them in as acc = acc * images[v-1] + c_e from the top power down.
     Each step writes one fresh dict over the lcm of the two denominators,
-    and `_product` checks its guard bits.
+    and `_product` checks its guard bits.  A gap of g missing powers costs
+    g products, except at a one-term image y from g = 5 on: there it costs
+    one product by y^g, which `_binary_power` builds in O(log g) products
+    of one-term dicts, fewer than g from g = 5 on even when acc has one
+    term.
 
     A constant `num` is returned as is, not copied.
     """
@@ -342,7 +471,17 @@ def _horner(num: dict[int, int], images: list["Polynomial"],
         den *= y._den
         part = parts.get(e)
         if part is None:
-            acc = _product(acc, y._num, 1, guards)
+            step = y._num
+            # From 5 missing powers on (e down to nxt + 1), one product by
+            # y^(e - nxt) takes fewer products than the loop.  Not for
+            # acc = 0, whose products cannot overflow where y^(e - nxt) might.
+            if len(step) == 1 and e >= 4 and acc and parts.keys().isdisjoint(range(e - 4, e)):
+                nxt = max([k for k in parts if k < e], default=-1)
+                step = _binary_power(step, e - nxt - 1, lambda a, b: _product(a, b, 1, guards),
+                                     step)
+                den *= y._den ** (e - nxt - 1)
+                e = nxt + 1
+            acc = _product(acc, step, 1, guards)
             continue
         pnum, pden = _horner(part, images, guards)
         # Not `_merged`: the rescale of acc rides in `_product`'s one pass,

@@ -135,6 +135,21 @@ def test_exp_rejects_a_parameter_that_is_not_a_rational(flow_file):
     assert err.endswith("triaut exp: error: argument s: not an exact rational: 'abc'\n")
 
 
+def test_exp_takes_a_parameter_past_the_int_str_digit_limit(flow_file):
+    s = "1/" + "3" * 5000
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    code, out, err = invoke(["exp", "--json", flow_file, "--", s])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["inputs"] == [{"name": "derivation", "value": flow_file},
+                             {"name": "s", "value": s}]
+    assert doc["result"]["automorphism"] == f"n=2\nx1 -> x1\nx2 -> {s}*x1 + x2\n"
+    assert invoke(["exp", flow_file, "--", "-" + "7" * 5000])[:2] == \
+        (0, f"n=2\nx1 -> x1\nx2 -> -{'7' * 5000}*x1 + x2\n")
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
+
+
 def test_results_past_the_int_str_digit_limit_exit_zero(tmp_path):
     # the square's tails hold integers of up to 9,000 digits
     sevens = "7" * 3000

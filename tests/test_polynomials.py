@@ -1,10 +1,13 @@
+import math
 import sys
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from random import Random
 
 import pytest
 
+from triaut import polynomials
 from triaut.automorphisms import compose, compose_all, invert, make, random_triangular
 from triaut.derivations import exponential, make_derivation
 from triaut.parsing import parse_polynomial
@@ -678,3 +681,167 @@ def test_constant_polynomials_hash_like_their_scalars():
         assert p == scalar
         assert hash(p) == hash(scalar)
         assert len({p, scalar}) == 1
+
+
+# -- the packed product and the schoolbook loop ---------------------------------
+
+def _numerators(terms: dict, nvars: int = 3) -> dict[int, int]:
+    """The packed numerator dict of an integer polynomial {exponents: int}."""
+    p = Polynomial(terms, nvars)
+    assert p._den == 1
+    return p._num
+
+
+def _dense_in_x1(rng: Random, slices: int, degree: int, bound: int) -> dict[int, int]:
+    """Numerators with `slices` rests in x2, x3, each dense in x1 up to
+    `degree`, coefficients in -bound..bound."""
+    terms = {}
+    for _ in range(slices):
+        rest = (rng.randint(0, 3), rng.randint(0, 3))
+        for e in range(rng.randint(0, 2), degree + 1):
+            if rng.random() < 0.8:
+                terms[(e,) + rest] = rng.randint(-bound, bound) or 1
+    return _numerators(terms)
+
+
+_PACKED_PAIRS = polynomials._PACKED_PAIRS
+
+
+def _both_paths(monkeypatch, ta, tb, scale: int):
+    """(packed, schoolbook) results of `_product`, or the ValueError text
+    each raises; the first must have taken the packed path."""
+    assert len(ta) * len(tb) >= _PACKED_PAIRS
+    assert polynomials._packed_product(ta, tb, scale) is not None
+    outcomes = []
+    for pairs in (_PACKED_PAIRS, 10 ** 18):
+        monkeypatch.setattr(polynomials, "_PACKED_PAIRS", pairs)
+        try:
+            outcomes.append(polynomials._product(ta, tb, scale, polynomials._guards(3)))
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+def test_packed_product_matches_the_schoolbook_loop():
+    rng = Random(2017)
+    taken = 0
+    for _ in range(60):
+        bound = rng.choice([1, 3, 1000, 2 ** 20, 2 ** 40])
+        ta = _dense_in_x1(rng, rng.randint(1, 6), rng.randint(8, 27), bound)
+        tb = _dense_in_x1(rng, rng.randint(1, 4), rng.randint(8, 27), bound)
+        scale = rng.choice([1, -1, 3, -7, 2 ** 10])
+        expected = polynomials._schoolbook(ta, tb, scale)
+        packed = polynomials._packed_product(ta, tb, scale)
+        if packed is not None:
+            taken += 1
+            assert packed == expected
+        assert polynomials._product(ta, tb, scale, polynomials._guards(3)) == expected
+    assert taken >= 30  # the large bounds fall back
+
+
+def test_packed_product_cancels_terms_to_zero(monkeypatch):
+    # (x1 - 1) * (1 + x1 + ... + x1^19) * q = (x1^20 - 1) * q: the inner terms cancel
+    q = {(0, i, j): (-1) ** (i + j) * (i + 2 * j + 1) for i in range(4) for j in range(4)}
+    geometric = _numerators({(e, i, j): c for e in range(20) for (_, i, j), c in q.items()})
+    x1_minus_1 = _numerators({(1, 0, 0): 1, (0, 0, 0): -1})
+    packed, schoolbook = _both_paths(monkeypatch, geometric, x1_minus_1, -5)
+    assert packed == schoolbook == _numerators(
+        {(e, i, j): -5 * s * c for (_, i, j), c in q.items() for e, s in ((20, 1), (0, -1))})
+
+
+def test_packed_product_decodes_up_to_its_coefficient_bound(monkeypatch):
+    # 16 terms times 16 terms: the middle coefficient is 16 * c, and the
+    # bound max|a| * max|b| * 16 stays below 2**62 up to c = 2**58 - 1
+    ones = _numerators({(e, 0, 0): 1 for e in range(16)})
+    for c in (2 ** 58 - 1, -(2 ** 58 - 1)):
+        ta = _numerators({(e, 0, 0): c for e in range(16)})
+        packed, schoolbook = _both_paths(monkeypatch, ta, ones, 1)
+        assert packed == schoolbook
+        assert packed[15] == 16 * c
+    # at 2**58 the bound reaches 2**62: the schoolbook loop takes the product
+    ta = _numerators({(e, 0, 0): -(2 ** 58) for e in range(16)})
+    assert polynomials._packed_product(ta, ones, 1) is None
+    assert polynomials._product(ta, ones, 1, polynomials._guards(3)) == \
+        polynomials._schoolbook(ta, ones, 1)
+    assert polynomials._packed_product(_numerators({(e, 0, 0): 2 ** 29 for e in range(16)}),
+                                       ones, 2 ** 29) is None  # the scale counts too
+
+
+def test_packed_product_overflow_raises_as_the_schoolbook_loop_does(monkeypatch):
+    # x1^7, x1^15, ..., x1^65535: dense enough to pack, and one more x1
+    # makes 2**16
+    top = 2 ** EXPONENT_BITS - 1
+    spread = {e: 1 for e in range(7, top + 1, 8)}
+    packed, schoolbook = _both_paths(monkeypatch, spread, {1: 1}, 1)
+    assert packed == schoolbook == f"product has an exponent not below 2**{EXPONENT_BITS}"
+    packed, schoolbook = _both_paths(monkeypatch, spread, {0: 1, 1 << 17: 2}, 1)
+    assert packed == schoolbook and packed[top] == 1
+
+
+def test_sparse_or_fragmented_operands_take_the_schoolbook_loop():
+    # 40 * 20 = 800 term pairs, but x1 spans 1,500 powers per term of ta
+    ta = _numerators({(1500 * j, 0, 0): j + 1 for j in range(40)})
+    tb = _numerators({(e, 1, 0): 1 for e in range(20)})
+    assert polynomials._x1_slices(ta, len(ta)) is None
+    assert polynomials._packed_product(ta, tb, 1) is None
+    assert polynomials._product(ta, tb, 1, polynomials._guards(3)) == \
+        polynomials._schoolbook(ta, tb, 1)
+    # one sparse slice is enough, however dense the others are, and the
+    # pass stops before it packs x1^60000 into a 3.84-Mbit (480 kB) int
+    lone = _numerators({**{(e, 1, 0): 1 for e in range(20)}, (60000, 0, 0): 1})
+    tracemalloc.start()
+    try:
+        assert polynomials._x1_slices(lone, len(lone)) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert polynomials._packed_product(lone, tb, 1) is None
+    # 400 one-term slices times 3 terms: 3 term pairs per pair of slices
+    flat = _numerators({(0, i, j): i - j or 1 for i in range(20) for j in range(20)})
+    short = _numerators({(e, 0, 0): 1 for e in range(3)})
+    assert polynomials._x1_slices(flat, len(flat)) is not None
+    assert polynomials._packed_product(flat, short, 1) is None
+    assert polynomials._product(flat, short, 1, polynomials._guards(3)) == \
+        polynomials._schoolbook(flat, short, 1)
+
+
+def test_packed_product_matches_the_schoolbook_loop_on_generated_operands(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    # every operand pair the coefficient bound and x1 spans allow is packed,
+    # however few pairs of terms it makes
+    monkeypatch.setattr(polynomials, "_PACKED_FILL", 1)
+    keys = st.tuples(st.integers(0, 30), st.integers(0, 2), st.integers(0, 1))
+    coefficients = st.one_of(st.integers(-3, 3), st.integers(-2 ** 28, 2 ** 28))
+    operands = st.dictionaries(keys, coefficients.filter(bool), min_size=1, max_size=40)
+
+    @hypothesis.settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(operands, operands, st.sampled_from([1, -1, 6, -(2 ** 12)]))
+    def check(a, b, scale):
+        ta, tb = _numerators(a), _numerators(b)
+        expected = polynomials._schoolbook(ta, tb, scale)
+        packed = polynomials._packed_product(ta, tb, scale)
+        assert packed is None or packed == expected
+        assert polynomials._product(ta, tb, scale, polynomials._guards(3)) == expected
+
+    check()
+
+
+def test_a_gap_at_a_one_term_image_costs_logarithmically_many_products(monkeypatch):
+    u1, u2 = Polynomial.variable(1, 2), Polynomial.variable(2, 2)
+    p = u1 ** 60000 * u2 + u2
+    calls = []
+    product = polynomials._product
+
+    def counted(*args):
+        calls.append(args)
+        return product(*args)
+
+    monkeypatch.setattr(polynomials, "_product", counted)
+    assert p.substitute([-u1, u2]) == p
+    assert 0 < len(calls) <= 2 * math.log2(60000) + 8
+    # a gap at a multi-term image still costs one product per power
+    calls.clear()
+    assert (u1 ** 30 * u2).substitute([u1 + 1, u2]) == (u1 + 1) ** 30 * u2
+    assert len(calls) >= 30
