@@ -20,7 +20,9 @@ a time, and `invert` is that same loop run against the identity.  The
 nested form plays no part in `==`, `hash` or the text forms, and nothing
 is cached: a map built by `make` from an inverse's lambdas and tails
 composes to the same result by the expanded route.  `compose` returns
-the other operand when one of them is the identity.
+the other operand when one of them is the identity.  `commutator` never
+expands phi^{-1}: it back-substitutes phi's nested form, computed from
+phi's lambdas and tails, straight into psi^{-1}.
 
 Degrees of compositions can exceed the degrees of the factors; tracking
 exactly how far they can grow is the point of the degree fuzz harness
@@ -144,7 +146,9 @@ def _trusted(n: int, lambdas: Sequence[Scalar],
 
 
 def identity(n: int) -> TriangularAutomorphism:
-    return TriangularAutomorphism(n, (1,) * n, (Polynomial.zero(n),) * n)
+    """The identity map of affine n-space, for an int n >= 1."""
+    _checked_dimension(n)
+    return _trusted(n, (1,) * n, (Polynomial.zero(n),) * n)
 
 
 def compose(outer: TriangularAutomorphism,
@@ -194,11 +198,16 @@ def invert(phi: TriangularAutomorphism) -> TriangularAutomorphism:
     small k_i, not the inverse's expanded tails, whose degree can reach
     m^(n-1) for a forward map of degree m.
     """
-    inv_lambdas = [scalar_inverse(lam) for lam in phi.lambdas]
-    nested = tuple(h * -mu for h, mu in zip(phi.tails, inv_lambdas))
-    psi = _back_substitute(inv_lambdas, nested, identity(phi.n))
+    mus, nested = _nested_form(phi)
+    psi = _back_substitute(mus, nested, identity(phi.n))
     psi._nested = nested
     return psi
+
+
+def _nested_form(phi: TriangularAutomorphism) -> tuple[list[Scalar], tuple[Polynomial, ...]]:
+    """phi^{-1}'s diagonal lambda_i^{-1} and nested form k_i = -h_i / lambda_i."""
+    mus = [scalar_inverse(lam) for lam in phi.lambdas]
+    return mus, tuple(h._scaled(-mu) for h, mu in zip(phi.tails, mus))
 
 
 def _back_substitute(mus: Sequence[Scalar], nested: Sequence[Polynomial],
@@ -237,8 +246,11 @@ def power(phi: TriangularAutomorphism, k: int) -> TriangularAutomorphism:
 def commutator(phi: TriangularAutomorphism,
                psi: TriangularAutomorphism) -> TriangularAutomorphism:
     """phi . psi . phi^{-1} . psi^{-1}, always unitriangular, associated as
-    (phi psi)(phi^{-1} psi^{-1}): phi^{-1} is applied by its nested form."""
-    return compose(compose(phi, psi), compose(invert(phi), invert(psi)))
+    (phi psi)(phi^{-1} psi^{-1}).  phi^{-1} is never expanded: its nested
+    form is back-substituted into psi^{-1} directly, so a commutator costs
+    two back-substitutions, not the three of composing two `invert`
+    results."""
+    return compose(compose(phi, psi), _back_substitute(*_nested_form(phi), invert(psi)))
 
 
 def elementary_scaling(n: int, i: int, lam) -> TriangularAutomorphism:
@@ -314,9 +326,7 @@ def _triangular(n: int, polys: Sequence, noun: str, label: str) -> tuple[Polynom
     constants: p_i may mention x_1..x_{i-1} only.  The ambient n must be
     an int (not bool), else TypeError; `noun` names the entries in the
     count error and `label`, formatted with i, names entry i."""
-    _checked_int(n, "ambient dimension")
-    if n < 1:
-        raise TriangularityError("ambient dimension must be at least 1")
+    _checked_dimension(n)
     if len(polys) != n:
         raise TriangularityError(f"expected {n} {noun}, got {len(polys)}")
     out = []
@@ -328,6 +338,14 @@ def _triangular(n: int, polys: Sequence, noun: str, label: str) -> tuple[Polynom
             raise _shape_error(label, i, mv)
         out.append(p.promoted(n))
     return tuple(out)
+
+
+def _checked_dimension(n) -> None:
+    """Raise unless the ambient dimension n is an int (not bool, TypeError)
+    of at least 1 (TriangularityError)."""
+    _checked_int(n, "ambient dimension")
+    if n < 1:
+        raise TriangularityError("ambient dimension must be at least 1")
 
 
 # Entry i of a map's tuple, in `_shape_error`'s text.

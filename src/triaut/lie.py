@@ -32,14 +32,13 @@ Q^dim, bracketed bilinearly, and no polynomial is bracketed again.
 from __future__ import annotations
 
 from bisect import bisect
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
 from typing import Sequence
 
 from .derivations import TriangularDerivation, _weights, bracket
 from .errors import CapExceededError, PropertyViolation
-from .polynomials import Polynomial, Scalar, as_scalar
+from .polynomials import Polynomial, Scalar, as_scalar, scalar_inverse
 
 Coordinates = dict[int, Scalar]  # {basis index: nonzero coordinate}
 
@@ -77,8 +76,8 @@ class _RowSpace:
         if not vec:
             return False
         pivot = min(vec)
-        inv = Fraction(1, 1) / Fraction(vec[pivot])
-        vec = {key: as_scalar(Fraction(v) * inv) for key, v in vec.items()}
+        inv = scalar_inverse(vec[pivot])
+        vec = {key: as_scalar(v * inv) for key, v in vec.items()}
         for row in self.rows:
             factor = row.get(pivot)
             if factor:

@@ -132,8 +132,19 @@ def as_scalar(value) -> Scalar:
 
 
 def scalar_inverse(value: Scalar) -> Scalar:
-    q = 1 / Fraction(value)
-    return q.numerator if q.denominator == 1 else q
+    """1 / value for an int or Fraction, normalised as `as_scalar` does:
+    the int itself for +-1, the int +-q for a unit fraction +-1/q, and
+    otherwise the one Fraction(q, p) for value = p/q, with no Fraction
+    division.  ZeroDivisionError for 0."""
+    if type(value) is int:
+        if value == 1 or value == -1:
+            return value
+        p, q = value, 1
+    else:
+        p, q = value.numerator, value.denominator
+        if p == 1 or p == -1:
+            return p * q
+    return Fraction(q, p)
 
 
 def term_order_key(exponents: Monomial):

@@ -3,6 +3,7 @@ from random import Random
 
 import pytest
 
+from triaut import automorphisms
 from triaut.automorphisms import (
     commutator,
     compose,
@@ -19,7 +20,7 @@ from triaut.automorphisms import (
 )
 from triaut.errors import TriangularityError
 from triaut.harness import degree_fuzz
-from triaut.polynomials import Polynomial
+from triaut.polynomials import Polynomial, scalar_inverse
 
 from helpers import (random_polynomial, random_scalar, reference_substitute, to_sympy,
                      wide_rational_polynomial)
@@ -92,6 +93,14 @@ def test_identity():
     assert identity(3).coordinates() == [x1, x2, x3]
     assert identity(4).degree() == 1
     assert identity(3).is_identity()
+
+
+def test_identity_checks_its_dimension():
+    with pytest.raises(TriangularityError, match="^ambient dimension must be at least 1$"):
+        identity(0)
+    for bad in (True, 2.0):
+        with pytest.raises(TypeError, match="^ambient dimension must be an int"):
+            identity(bad)
 
 
 # -- composition and inversion -----------------------------------------
@@ -436,6 +445,60 @@ def test_commutator_equals_the_left_nested_association():
         result = commutator(phi, psi)
         assert result == expected
         assert result.to_text() == expected.to_text()
+
+
+def test_a_commutator_makes_two_back_substitutions(monkeypatch):
+    # psi^-1 by one, then phi^-1's nested form into it: phi^-1 is never
+    # expanded (composing two `invert` results would make three)
+    calls = []
+    back_substitute = automorphisms._back_substitute
+
+    def counted(*args):
+        calls.append(1)
+        return back_substitute(*args)
+
+    monkeypatch.setattr(automorphisms, "_back_substitute", counted)
+    rng = Random(29)
+    for _ in range(8):
+        n = rng.randint(1, 4)
+        phi, psi = random_aut(rng, n=n), _fraction_lambda_map(rng, n, 2)
+        assert not phi.is_identity() and not psi.is_identity()
+        calls.clear()
+        commutator(phi, psi)
+        assert len(calls) == 2
+
+
+def test_commutator_with_the_identity_is_the_identity():
+    rng = Random(30)
+    for n in range(1, 5):
+        for phi in (random_aut(rng, n=n), _fraction_lambda_map(rng, n, 2),
+                    invert(_fraction_lambda_map(rng, n, 2))):
+            assert commutator(identity(n), phi) == identity(n)
+            assert commutator(phi, identity(n)) == identity(n)
+
+
+def test_commutator_dimension_mismatch():
+    rng = Random(31)
+    phi, psi = random_aut(rng, n=2), random_aut(rng, n=3)
+    for a, b in ((phi, psi), (psi, phi), (identity(2), psi), (phi, identity(3))):
+        with pytest.raises(ValueError, match="^dimension mismatch"):
+            commutator(a, b)
+
+
+@pytest.mark.parametrize("value", [
+    1, -1, 2, -2, 3 ** 90, -(7 ** 60), Fraction(1, 3), Fraction(-1, 3),
+    Fraction(1, 5 ** 70), Fraction(2, 3), Fraction(-2, 3), Fraction(-9, 4),
+    Fraction(3 ** 50, 2 ** 80)])
+def test_scalar_inverse_matches_the_fraction_oracle(value):
+    expected = 1 / Fraction(value)
+    result = scalar_inverse(value)
+    assert result == expected
+    assert type(result) is (int if expected.denominator == 1 else Fraction)
+
+
+def test_scalar_inverse_of_zero():
+    with pytest.raises(ZeroDivisionError):
+        scalar_inverse(0)
 
 
 def test_affine_maps_are_closed_under_compose_and_invert():
