@@ -38,7 +38,7 @@ from typing import Sequence
 
 from .derivations import TriangularDerivation, _weights, bracket
 from .errors import CapExceededError, PropertyViolation
-from .polynomials import Polynomial, Scalar, as_scalar, scalar_inverse
+from .polynomials import Polynomial, Scalar, _add_into, as_scalar, scalar_inverse
 
 Coordinates = dict[int, Scalar]  # {basis index: nonzero coordinate}
 
@@ -67,7 +67,7 @@ class _RowSpace:
         for pivot, row in zip(self.pivots, self.rows):
             factor = vec.get(pivot)
             if factor:
-                _subtract(vec, factor, row)
+                _add_into(vec, row, -factor)
         return vec
 
     def add(self, vec: dict) -> bool:
@@ -81,21 +81,11 @@ class _RowSpace:
         for row in self.rows:
             factor = row.get(pivot)
             if factor:
-                _subtract(row, factor, vec)
+                _add_into(row, vec, -factor)
         at = bisect(self.pivots, pivot)
         self.rows.insert(at, vec)
         self.pivots.insert(at, pivot)
         return True
-
-
-def _subtract(vec: dict, factor: Scalar, row: dict) -> None:
-    """vec -= factor * row in place, dropping the entries that cancel."""
-    for key, value in row.items():
-        v = vec.get(key, 0) - factor * value
-        if v:
-            vec[key] = v
-        else:
-            del vec[key]
 
 
 class LieBasis:

@@ -40,10 +40,10 @@ one of the two paths, chosen from the operands alone:
   loop), and each slice spans at most _PACKED_SPAN = 8 powers of x1 per
   term (so a sparse exponent such as x1^60000 never packs into a
   3.8-Mbit int).
-It is exact when max|a| * |scale| * max|b| * min(len(a), len(b)) is below
-2**62: a coefficient of the product sums at most min(len) term products,
-so every slot holds a coefficient of magnitude below 2**62 < 2**63, and
-the slots decode exactly; a larger bound takes the schoolbook loop.  Both
+It is exact when max|a| * max|b| * min(len(a), len(b)) is below 2**62: a
+coefficient of the product sums at most min(len) term products, so every
+slot holds a coefficient of magnitude below 2**62 < 2**63, and the slots
+decode exactly; a larger bound takes the schoolbook loop.  Both
 paths give the same dict of terms, not in the same order, and make the
 same guard-bit check.
 
@@ -61,9 +61,8 @@ p'(coordinates) + lambda' * tail) build no intermediate polynomial.
 
 One function, `_merged`, adds one numerator dict into another over the
 lcm of their denominators: for `+` and `-`, the addend of
-`_substitute_add`, a map's coordinate lambda * x_i + tail and each term
-that `triaut.parsing` reads.  One loop keeps its own merge: `_horner`
-folds its rescale into a product's one pass.
+`_substitute_add`, a map's coordinate lambda * x_i + tail, each term
+that `triaut.parsing` reads and every Horner step.
 
 The form is normalised: the denominator is positive and shares no factor
 with all numerators together (it is 1 for integer polynomials, which
@@ -309,8 +308,10 @@ def _merged(num: dict[int, int], den: int, terms: dict[int, int], tden: int,
     return num, den
 
 
-def _add_into(out: dict[int, int], terms: dict[int, int], scale: int) -> None:
-    """out += scale * terms, in place; a term that cancels is dropped."""
+def _add_into(out: dict, terms: dict, scale: Scalar) -> None:
+    """out += scale * terms, in place; a term that cancels is dropped.  The
+    one accumulate loop: behind `_merged` on int numerators, and behind
+    the row reduction of `triaut.lie` on int and Fraction entries."""
     get = out.get
     for key, c in terms.items():
         prev = get(key)
@@ -324,33 +325,30 @@ def _add_into(out: dict[int, int], terms: dict[int, int], scale: int) -> None:
                 del out[key]
 
 
-def _product(ta: dict[int, int], tb: dict[int, int], scale: int,
-             guards: int) -> dict[int, int]:
-    """scale * ta * tb as a fresh numerator dict: by `_packed_product` when
-    it takes the operands, else by `_schoolbook`.  Raises ValueError when
-    an exponent reaches 2**EXPONENT_BITS, i.e. when a bit of `guards` is
-    set."""
+def _product(ta: dict[int, int], tb: dict[int, int], guards: int) -> dict[int, int]:
+    """ta * tb as a fresh numerator dict, never one of the operands: by
+    `_packed_product` when it takes the operands, else by `_schoolbook`.
+    Raises ValueError when an exponent reaches 2**EXPONENT_BITS, i.e. when
+    a bit of `guards` is set."""
     if len(ta) < len(tb):
         ta, tb = tb, ta
     out = None
     if len(ta) * len(tb) >= _PACKED_PAIRS:
-        out = _packed_product(ta, tb, scale)
+        out = _packed_product(ta, tb)
     if out is None:
-        out = _schoolbook(ta, tb, scale)
+        out = _schoolbook(ta, tb)
     if reduce(or_, out, 0) & guards:
         raise ValueError(f"product has an exponent not below 2**{EXPONENT_BITS}")
     return out
 
 
-def _schoolbook(ta: dict[int, int], tb: dict[int, int], scale: int) -> dict[int, int]:
-    """scale * ta * tb, one dict update per term pair, ta's terms in the
-    outer loop."""
+def _schoolbook(ta: dict[int, int], tb: dict[int, int]) -> dict[int, int]:
+    """ta * tb, one dict update per term pair, ta's terms in the outer
+    loop."""
     out: dict[int, int] = {}
     get = out.get
     b_items = list(tb.items())
     for ka, ca in ta.items():
-        if scale != 1:
-            ca *= scale
         for kb, cb in b_items:
             key = ka + kb
             prev = get(key)
@@ -365,10 +363,9 @@ def _schoolbook(ta: dict[int, int], tb: dict[int, int], scale: int) -> dict[int,
     return out
 
 
-def _packed_product(ta: dict[int, int], tb: dict[int, int],
-                    scale: int) -> dict[int, int] | None:
-    """scale * ta * tb by Kronecker substitution on x1, or None when the
-    operands do not suit it (see the module docstring).
+def _packed_product(ta: dict[int, int], tb: dict[int, int]) -> dict[int, int] | None:
+    """ta * tb by Kronecker substitution on x1, or None when the operands
+    do not suit it (see the module docstring).
 
     Each operand is split into x1-slices by `_x1_slices`.  One int product
     per pair of slices does all their term products in C, and the products
@@ -379,8 +376,7 @@ def _packed_product(ta: dict[int, int], tb: dict[int, int],
     back out of each slot's top bit, which leaves the two's complement of
     c.  The bytes of all sums make one `array("q")`, and a nonzero word c
     at slot e of the sum at `rest` becomes the term c at key rest + e."""
-    bound = (max(map(abs, ta.values())) * abs(scale) * max(map(abs, tb.values()))
-             * min(len(ta), len(tb)))
+    bound = max(map(abs, ta.values())) * max(map(abs, tb.values())) * min(len(ta), len(tb))
     if bound >> 62:
         return None
     pairs = len(ta) * len(tb)
@@ -391,8 +387,6 @@ def _packed_product(ta: dict[int, int], tb: dict[int, int],
     sums: dict[int, int] = {}
     get = sums.get
     for ra, va in sa:
-        if scale != 1:
-            va *= scale
         for rb, vb in sb:
             rest = ra + rb
             prev = get(rest)
@@ -453,12 +447,12 @@ def _horner(num: dict[int, int], images: list["Polynomial"],
     scheme", SIAM J. Numer. Anal. 37, 2000): split `num` on its highest
     variable x_v as sum_e c_e * x_v^e, evaluate each c_e recursively, and
     fold them in as acc = acc * images[v-1] + c_e from the top power down.
-    Each step writes one fresh dict over the lcm of the two denominators,
-    and `_product` checks its guard bits.  A gap of g missing powers costs
-    g products, except at a one-term image y from g = 5 on: there it costs
-    one product by y^g, which `_binary_power` builds in O(log g) products
-    of one-term dicts, fewer than g from g = 5 on even when acc has one
-    term.
+    Each step adds c_e by `_merged` into the fresh dict of `_product`,
+    which checks its guard bits, over the lcm of the two denominators.  A
+    gap of g missing powers costs g products, except at a one-term image y
+    from g = 5 on: there it costs one product by y^g, which `_binary_power`
+    builds in O(log g) products of one-term dicts, fewer than g from g = 5
+    on even when acc has one term.
 
     A constant `num` is returned as is, not copied.
     """
@@ -488,19 +482,14 @@ def _horner(num: dict[int, int], images: list["Polynomial"],
             # acc = 0, whose products cannot overflow where y^(e - nxt) might.
             if len(step) == 1 and e >= 4 and acc and parts.keys().isdisjoint(range(e - 4, e)):
                 nxt = max([k for k in parts if k < e], default=-1)
-                step = _binary_power(step, e - nxt - 1, lambda a, b: _product(a, b, 1, guards),
+                step = _binary_power(step, e - nxt - 1, lambda a, b: _product(a, b, guards),
                                      step)
                 den *= y._den ** (e - nxt - 1)
                 e = nxt + 1
-            acc = _product(acc, step, 1, guards)
+            acc = _product(acc, step, guards)
             continue
         pnum, pden = _horner(part, images, guards)
-        # Not `_merged`: the rescale of acc rides in `_product`'s one pass,
-        # and the fresh product is ours to add into.
-        g = gcd(den, pden)
-        acc = _product(acc, y._num, pden // g, guards)
-        _add_into(acc, pnum, den // g)
-        den = den // g * pden
+        acc, den = _merged(_product(acc, y._num, guards), den, pnum, pden, 1, True)
     return acc, den
 
 
@@ -693,7 +682,7 @@ class Polynomial:
             ta, tb = self._num, other._num
             if not ta or not tb:
                 return _make({}, 1, nvars)
-            return _normalised(_product(ta, tb, 1, _guards(nvars)),
+            return _normalised(_product(ta, tb, _guards(nvars)),
                                self._den * other._den, nvars)
         if isinstance(other, (int, Fraction)):
             return self._scaled(as_scalar(other))

@@ -707,16 +707,20 @@ def _dense_in_x1(rng: Random, slices: int, degree: int, bound: int) -> dict[int,
 _PACKED_PAIRS = polynomials._PACKED_PAIRS
 
 
-def _both_paths(monkeypatch, ta, tb, scale: int):
+def _scaled(terms: dict[int, int], scale: int) -> dict[int, int]:
+    return {k: v * scale for k, v in terms.items()}
+
+
+def _both_paths(monkeypatch, ta, tb):
     """(packed, schoolbook) results of `_product`, or the ValueError text
     each raises; the first must have taken the packed path."""
     assert len(ta) * len(tb) >= _PACKED_PAIRS
-    assert polynomials._packed_product(ta, tb, scale) is not None
+    assert polynomials._packed_product(ta, tb) is not None
     outcomes = []
     for pairs in (_PACKED_PAIRS, 10 ** 18):
         monkeypatch.setattr(polynomials, "_PACKED_PAIRS", pairs)
         try:
-            outcomes.append(polynomials._product(ta, tb, scale, polynomials._guards(3)))
+            outcomes.append(polynomials._product(ta, tb, polynomials._guards(3)))
         except ValueError as exc:
             outcomes.append(str(exc))
     return outcomes
@@ -729,14 +733,26 @@ def test_packed_product_matches_the_schoolbook_loop():
         bound = rng.choice([1, 3, 1000, 2 ** 20, 2 ** 40])
         ta = _dense_in_x1(rng, rng.randint(1, 6), rng.randint(8, 27), bound)
         tb = _dense_in_x1(rng, rng.randint(1, 4), rng.randint(8, 27), bound)
-        scale = rng.choice([1, -1, 3, -7, 2 ** 10])
-        expected = polynomials._schoolbook(ta, tb, scale)
-        packed = polynomials._packed_product(ta, tb, scale)
+        ta = _scaled(ta, rng.choice([1, -1, 3, -7, 2 ** 10]))
+        expected = polynomials._schoolbook(ta, tb)
+        packed = polynomials._packed_product(ta, tb)
         if packed is not None:
             taken += 1
             assert packed == expected
-        assert polynomials._product(ta, tb, scale, polynomials._guards(3)) == expected
+        assert polynomials._product(ta, tb, polynomials._guards(3)) == expected
     assert taken >= 30  # the large bounds fall back
+
+
+def test_product_never_hands_back_an_operand(monkeypatch):
+    # `_horner` adds each Horner step into its product's dict in place
+    dense = _dense_in_x1(Random(5), 4, 20, 9)
+    assert polynomials._packed_product(dense, dense) is not None
+    for ta, tb in ((dense, dense), (dense, {0: 1}), ({0: 1}, dense), ({0: 1}, {0: 1}),
+                   ({}, dense), (dense, {}), ({}, {})):
+        for pairs in (_PACKED_PAIRS, 10 ** 18):
+            monkeypatch.setattr(polynomials, "_PACKED_PAIRS", pairs)
+            out = polynomials._product(ta, tb, polynomials._guards(3))
+            assert out is not ta and out is not tb
 
 
 def test_packed_product_cancels_terms_to_zero(monkeypatch):
@@ -744,7 +760,7 @@ def test_packed_product_cancels_terms_to_zero(monkeypatch):
     q = {(0, i, j): (-1) ** (i + j) * (i + 2 * j + 1) for i in range(4) for j in range(4)}
     geometric = _numerators({(e, i, j): c for e in range(20) for (_, i, j), c in q.items()})
     x1_minus_1 = _numerators({(1, 0, 0): 1, (0, 0, 0): -1})
-    packed, schoolbook = _both_paths(monkeypatch, geometric, x1_minus_1, -5)
+    packed, schoolbook = _both_paths(monkeypatch, _scaled(geometric, -5), x1_minus_1)
     assert packed == schoolbook == _numerators(
         {(e, i, j): -5 * s * c for (_, i, j), c in q.items() for e, s in ((20, 1), (0, -1))})
 
@@ -755,16 +771,14 @@ def test_packed_product_decodes_up_to_its_coefficient_bound(monkeypatch):
     ones = _numerators({(e, 0, 0): 1 for e in range(16)})
     for c in (2 ** 58 - 1, -(2 ** 58 - 1)):
         ta = _numerators({(e, 0, 0): c for e in range(16)})
-        packed, schoolbook = _both_paths(monkeypatch, ta, ones, 1)
+        packed, schoolbook = _both_paths(monkeypatch, ta, ones)
         assert packed == schoolbook
         assert packed[15] == 16 * c
     # at 2**58 the bound reaches 2**62: the schoolbook loop takes the product
     ta = _numerators({(e, 0, 0): -(2 ** 58) for e in range(16)})
-    assert polynomials._packed_product(ta, ones, 1) is None
-    assert polynomials._product(ta, ones, 1, polynomials._guards(3)) == \
-        polynomials._schoolbook(ta, ones, 1)
-    assert polynomials._packed_product(_numerators({(e, 0, 0): 2 ** 29 for e in range(16)}),
-                                       ones, 2 ** 29) is None  # the scale counts too
+    assert polynomials._packed_product(ta, ones) is None
+    assert polynomials._product(ta, ones, polynomials._guards(3)) == \
+        polynomials._schoolbook(ta, ones)
 
 
 def test_packed_product_overflow_raises_as_the_schoolbook_loop_does(monkeypatch):
@@ -772,9 +786,9 @@ def test_packed_product_overflow_raises_as_the_schoolbook_loop_does(monkeypatch)
     # makes 2**16
     top = 2 ** EXPONENT_BITS - 1
     spread = {e: 1 for e in range(7, top + 1, 8)}
-    packed, schoolbook = _both_paths(monkeypatch, spread, {1: 1}, 1)
+    packed, schoolbook = _both_paths(monkeypatch, spread, {1: 1})
     assert packed == schoolbook == f"product has an exponent not below 2**{EXPONENT_BITS}"
-    packed, schoolbook = _both_paths(monkeypatch, spread, {0: 1, 1 << 17: 2}, 1)
+    packed, schoolbook = _both_paths(monkeypatch, spread, {0: 1, 1 << 17: 2})
     assert packed == schoolbook and packed[top] == 1
 
 
@@ -783,9 +797,9 @@ def test_sparse_or_fragmented_operands_take_the_schoolbook_loop():
     ta = _numerators({(1500 * j, 0, 0): j + 1 for j in range(40)})
     tb = _numerators({(e, 1, 0): 1 for e in range(20)})
     assert polynomials._x1_slices(ta, len(ta)) is None
-    assert polynomials._packed_product(ta, tb, 1) is None
-    assert polynomials._product(ta, tb, 1, polynomials._guards(3)) == \
-        polynomials._schoolbook(ta, tb, 1)
+    assert polynomials._packed_product(ta, tb) is None
+    assert polynomials._product(ta, tb, polynomials._guards(3)) == \
+        polynomials._schoolbook(ta, tb)
     # one sparse slice is enough, however dense the others are, and the
     # pass stops before it packs x1^60000 into a 3.84-Mbit (480 kB) int
     lone = _numerators({**{(e, 1, 0): 1 for e in range(20)}, (60000, 0, 0): 1})
@@ -796,14 +810,14 @@ def test_sparse_or_fragmented_operands_take_the_schoolbook_loop():
     finally:
         tracemalloc.stop()
     assert peak < 100_000
-    assert polynomials._packed_product(lone, tb, 1) is None
+    assert polynomials._packed_product(lone, tb) is None
     # 400 one-term slices times 3 terms: 3 term pairs per pair of slices
     flat = _numerators({(0, i, j): i - j or 1 for i in range(20) for j in range(20)})
     short = _numerators({(e, 0, 0): 1 for e in range(3)})
     assert polynomials._x1_slices(flat, len(flat)) is not None
-    assert polynomials._packed_product(flat, short, 1) is None
-    assert polynomials._product(flat, short, 1, polynomials._guards(3)) == \
-        polynomials._schoolbook(flat, short, 1)
+    assert polynomials._packed_product(flat, short) is None
+    assert polynomials._product(flat, short, polynomials._guards(3)) == \
+        polynomials._schoolbook(flat, short)
 
 
 def test_packed_product_matches_the_schoolbook_loop_on_generated_operands(monkeypatch):
@@ -819,11 +833,11 @@ def test_packed_product_matches_the_schoolbook_loop_on_generated_operands(monkey
     @hypothesis.settings(max_examples=150, derandomize=True, deadline=None, database=None)
     @hypothesis.given(operands, operands, st.sampled_from([1, -1, 6, -(2 ** 12)]))
     def check(a, b, scale):
-        ta, tb = _numerators(a), _numerators(b)
-        expected = polynomials._schoolbook(ta, tb, scale)
-        packed = polynomials._packed_product(ta, tb, scale)
+        ta, tb = _scaled(_numerators(a), scale), _numerators(b)
+        expected = polynomials._schoolbook(ta, tb)
+        packed = polynomials._packed_product(ta, tb)
         assert packed is None or packed == expected
-        assert polynomials._product(ta, tb, scale, polynomials._guards(3)) == expected
+        assert polynomials._product(ta, tb, polynomials._guards(3)) == expected
 
     check()
 

@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+from triaut import harness
 from triaut.automorphisms import (
     commutator,
     compose,
@@ -18,6 +19,7 @@ from triaut.automorphisms import (
     staircase_map,
 )
 from triaut.derivations import make_derivation
+from triaut.errors import PropertyViolation
 from triaut.harness import (
     degree_fuzz,
     derived_depth_test,
@@ -153,6 +155,22 @@ def test_commuting_generators_have_trivial_commutator():
     a = make(2, (1, 1), (1, 0))
     b = make(2, (1, 1), (Fraction(-1, 2), 0))
     assert commutator(a, b) == identity(2)
+
+
+def test_a_commutator_that_moves_the_prefix_is_a_violation(monkeypatch):
+    u1, u2 = Polynomial.variable(1, 3), Polynomial.variable(2, 3)
+    # every tail nonzero, the last one included: x1 moves at every depth >= 2
+    moving = make(3, (1, 1, 1), (1, u1, u2))
+    monkeypatch.setattr(harness, "commutator", lambda phi, psi: moving)
+    for depth in (2, 3, 4):
+        with pytest.raises(PropertyViolation,
+                           match=rf"depth-{depth} commutator moves x1\.\.x{depth - 1}:"):
+            derived_depth_test(3, depth, trials=1, seed=0)
+    # at depth n+1 the prefix is x1..xn, so a nonzero last tail alone is caught
+    last = elementary_shear(3, 3, 1, (1, 0, 0))
+    monkeypatch.setattr(harness, "commutator", lambda phi, psi: last)
+    with pytest.raises(PropertyViolation, match=r"depth-4 commutator moves x1\.\.x3:"):
+        derived_depth_test(3, 4, trials=1, seed=0)
 
 
 def test_depth_out_of_range():
