@@ -44,6 +44,7 @@ from .polynomials import (
     _checked_int,
     _coordinate,
     _substitute_add,
+    _text,
     as_scalar,
     monomials_up_to_degree,
     scalar_inverse,
@@ -115,7 +116,7 @@ class TriangularAutomorphism:
 
     def to_text(self) -> str:
         lines = [f"n={self.n}"]
-        lines += [f"x{i} -> {_coordinate(lam, i, tail)}"
+        lines += [f"x{i} -> {_text(tail, lam, i)}"
                   for i, (lam, tail) in enumerate(zip(self.lambdas, self.tails), start=1)]
         return "\n".join(lines) + "\n"
 

@@ -12,20 +12,24 @@ failure, usage errors included.
 its output, argparse's usage, help and error text included, goes to the
 given streams, and a `-` operand is read from the given stdin.  The parser
 is built once per process, on the first call, and reused by every later
-one.
+one.  When argv[0] names a subcommand, the rest of argv goes straight to
+that subcommand's own parser; the top-level parser reparses argv only
+when argv is empty, names no subcommand, or leaves arguments over, so
+argparse's own usage and error texts come out unchanged.  `--json`
+output is written by `_json`, which gives `json.dumps(payload,
+indent=2)`'s bytes without its pure-Python indenting encoder.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import asdict
 from fractions import Fraction
 from functools import cache
 from gettext import gettext
+from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
 from . import harness
@@ -182,6 +186,8 @@ class _Parser(argparse.ArgumentParser):
     """Raises `_UsageError` where argparse would print and exit, so that a
     usage error reaches `run`'s streams; subparsers inherit the class."""
 
+    subcommands: dict[str, _Parser]  # on the top-level parser only
+
     def error(self, message):
         # argparse's own wording, through the same gettext lookup
         line = gettext("%(prog)s: error: %(message)s\n") % {"prog": self.prog,
@@ -198,6 +204,7 @@ def _parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, help=command.help, epilog=command.epilog)
+        p.set_defaults(command=name)
         for arg, options in command.positionals:
             p.add_argument(arg, **options)
         p.add_argument("--json", action="store_true", help="emit a JSON report")
@@ -209,7 +216,21 @@ def _parser() -> _Parser:
         if command.word_len is not None:
             p.add_argument("--word-len", type=int, default=command.word_len,
                            help=f"maximum word length (default {command.word_len})")
+    parser.subcommands = sub.choices  # name -> that subcommand's own parser
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed by the subcommand parser that argv[0] names, when it
+    leaves nothing over; otherwise by the top-level parser, which gives
+    the same namespace and argparse's own usage and error texts."""
+    parser = _parser()
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extras = sub.parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return parser.parse_args(argv)
 
 
 def _inputs(command: _Command, args) -> list[dict]:
@@ -238,14 +259,41 @@ def _render(result) -> tuple[object, str]:
         return {"derivation": text}, text
     if isinstance(result, tuple):
         return result
-    return asdict(result), result.summary() + "\n"
+    return vars(result), result.summary() + "\n"
+
+
+def _json(value, indent: str = "") -> str:
+    """`json.dumps(value, indent=2)` for what a payload holds: str, int,
+    bool and None, in dicts with str keys, lists and tuples."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{inner}{encode_basestring_ascii(k)}: {_json(v, inner)}"
+                 for k, v in value.items()]
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[\n" + ",\n".join([inner + _json(v, inner) for v in value]) + "\n" + indent + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _emit_json(command: str | None, inputs: list, result, diagnostics: list[str],
                stdout) -> None:
     payload = {"command": command, "inputs": inputs, "result": result,
                "diagnostics": diagnostics}
-    print(json.dumps(payload, indent=2), file=stdout)
+    print(_json(payload), file=stdout)
 
 
 def run(argv=None, stdout=None, stderr=None, stdin=None) -> int:
@@ -257,13 +305,14 @@ def run(argv=None, stdout=None, stderr=None, stdin=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         with redirect_stdout(stdout), redirect_stderr(stderr):
-            args = _parser().parse_args(argv)
+            args = _parse(argv)
     except SystemExit as exc:  # --help
         return 0 if not exc.code else 2
     except _UsageError as exc:
         text, message = exc.args
         flags = argv[:argv.index("--")] if "--" in argv else argv
-        if "--json" in flags:
+        # argparse's abbreviation rule: "--j", "--js" and "--jso" mean --json
+        if any(len(a) >= 3 and "--json".startswith(a) for a in flags):
             name = next((a for a in flags if not a.startswith("-")), None)
             _emit_json(name if name in _COMMANDS else None, [], None, [message], stdout)
         print(text, end="", file=stderr)

@@ -72,9 +72,9 @@ numerators and denominators are, whatever their `nvars`.
 `terms` is a read-only dict {exponent tuple of length nvars:
 coefficient} (a `types.MappingProxyType`), built when it is read, with
 coefficients `int` where integral and `fractions.Fraction` otherwise.
-The canonical text (`str`) does not go through it: it reads each packed
-key's exponent fields once and reduces each numerator against the
-denominator by an integer gcd.
+The canonical text (`_text`, behind `str` and a map's `to_text`) does
+not go through it: it reads each packed key's exponent fields once and
+reduces each numerator against its denominator by an integer gcd.
 Polynomials are immutable values: nothing here mutates its inputs, and
 an operation may hand back an operand unchanged (p * 1 is p) or share
 its numerator dict.  The result of an operation lives in the larger of
@@ -542,6 +542,54 @@ def _coordinate(lam: Scalar, index: int, tail: "Polynomial") -> "Polynomial":
     return _make(num, den, tail.nvars)
 
 
+def _text(poly: "Polynomial", lam: Scalar = 0, index: int = 0) -> str:
+    """Canonical text of poly + lam * x_index (of poly alone for lam = 0),
+    for an x_index absent from poly: terms in `term_order_key` order, read
+    straight from the packed keys, each coefficient reduced against its
+    denominator by one integer gcd.  The sum is never built, so a map's
+    coordinate prints without the copy `_coordinate` makes."""
+    den = poly._den
+    terms = [(key, c, den) for key, c in poly._num.items()]
+    if lam:
+        p, q = (lam, 1) if type(lam) is int else (lam.numerator, lam.denominator)
+        terms.append((1 << (_SHIFT * (index - 1)), p, q))
+    if not terms:
+        return "0"
+    rows = []
+    for key, c, d in terms:
+        negated = []  # -e_1, ..., -e_v up to the last variable present
+        factors = []
+        while key:
+            e = key & _MASK
+            negated.append(-e)
+            if e:
+                i = len(negated)
+                factors.append(f"x{i}" if e == 1 else f"x{i}^{e}")
+            key >>= _SHIFT
+        # Of two keys of one degree, neither trimmed list is a proper
+        # prefix of the other (the longer one's extra entries would sum
+        # to 0), so these lists sort as term_order_key's full tuples do.
+        rows.append((-sum(negated), negated, factors, c, d))
+    rows.sort()
+    pieces = []
+    for _, _, factors, c, d in rows:
+        g = gcd(c, d)
+        p, q = abs(c) // g, d // g
+        coeff = _digits(p) if q == 1 else f"{_digits(p)}/{_digits(q)}"
+        vars_part = "*".join(factors)
+        if not vars_part:
+            body = coeff
+        elif p == q == 1:
+            body = vars_part
+        else:
+            body = f"{coeff}*{vars_part}"
+        if not pieces:
+            pieces.append(f"-{body}" if c < 0 else body)
+        else:
+            pieces.append(f"- {body}" if c < 0 else f"+ {body}")
+    return " ".join(pieces)
+
+
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients."""
 
@@ -748,45 +796,8 @@ class Polynomial:
     # -- canonical text -------------------------------------------------
 
     def __str__(self) -> str:
-        """Canonical text: terms in `term_order_key` order, read straight
-        from the packed keys, each coefficient reduced against the
-        denominator by one integer gcd."""
-        if not self._num:
-            return "0"
-        den = self._den
-        rows = []
-        for key, c in self._num.items():
-            negated = []  # -e_1, ..., -e_v up to the last variable present
-            factors = []
-            while key:
-                e = key & _MASK
-                negated.append(-e)
-                if e:
-                    i = len(negated)
-                    factors.append(f"x{i}" if e == 1 else f"x{i}^{e}")
-                key >>= _SHIFT
-            # Of two keys of one degree, neither trimmed list is a proper
-            # prefix of the other (the longer one's extra entries would sum
-            # to 0), so these lists sort as term_order_key's full tuples do.
-            rows.append((-sum(negated), negated, factors, c))
-        rows.sort()
-        pieces = []
-        for _, _, factors, c in rows:
-            g = gcd(c, den)
-            p, q = abs(c) // g, den // g
-            coeff = _digits(p) if q == 1 else f"{_digits(p)}/{_digits(q)}"
-            vars_part = "*".join(factors)
-            if not vars_part:
-                body = coeff
-            elif p == q == 1:
-                body = vars_part
-            else:
-                body = f"{coeff}*{vars_part}"
-            if not pieces:
-                pieces.append(f"-{body}" if c < 0 else body)
-            else:
-                pieces.append(f"- {body}" if c < 0 else f"+ {body}")
-        return " ".join(pieces)
+        """Canonical text (see `_text`)."""
+        return _text(self)
 
     def __repr__(self) -> str:
         return f"Polynomial({self}, nvars={self.nvars})"

@@ -595,6 +595,20 @@ def test_text_round_trip_through_coordinates():
     assert text == "n=3\nx1 -> x1\nx2 -> x2 + x1^2\nx3 -> x3 + x2^2\n"
 
 
+def test_text_prints_each_coordinate_as_its_polynomial():
+    """`to_text` prints lambda_i*x_i and the tail without building the
+    coordinate; the bytes are the coordinate polynomial's own."""
+    rng = Random(21)
+    lambdas = (1, -1, 3, Fraction(2, 3), Fraction(-5, 7), Fraction(1, 6))
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        tails = [wide_rational_polynomial(rng, i, 2) if rng.random() < 0.7
+                 else random_polynomial(rng, i, 2) for i in range(n)]
+        phi = make(n, [rng.choice(lambdas) for _ in range(n)], tails)
+        assert phi.to_text() == "".join(
+            [f"n={n}\n"] + [f"x{i} -> {phi.coordinate(i)}\n" for i in range(1, n + 1)])
+
+
 # -- differential tests against sympy -------------------------------------------
 
 def _fraction_map(rng: Random):

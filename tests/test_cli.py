@@ -1,6 +1,8 @@
 import io
 import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 
@@ -387,9 +389,17 @@ def test_json_usage_error_keeps_schema():
     payload = json.loads(out)
     assert code == 2 and payload["command"] is None and payload["result"] is None
     assert payload["diagnostics"][0].startswith("argument command: invalid choice")
-    # after '--', "--json" is an operand, not the flag
-    code, out, _ = invoke(["compose", "--", "--json"])
-    assert (code, out) == (2, "")
+    # argparse reads a prefix of --json of 3 or more characters as the flag
+    for flag in ("--js", "--j"):
+        code, out, err = invoke(["compose", "a.aut", flag])
+        assert code == 2 and err.endswith("required: inner\n")
+        assert json.loads(out) == {
+            "command": "compose", "inputs": [], "result": None,
+            "diagnostics": ["the following arguments are required: inner"]}
+    # after '--', "--json" is an operand, not the flag; "--" itself is no prefix
+    for argv in (["compose", "--", "--json"], ["compose", "--"]):
+        code, out, _ = invoke(argv)
+        assert (code, out) == (2, "")
 
 
 def test_in_process_calls_are_independent(ddx1_file, phi_file, heis_file, flow_file):
@@ -403,3 +413,115 @@ def test_in_process_calls_are_independent(ddx1_file, phi_file, heis_file, flow_f
                 assert first.setdefault(tuple(call), result) == result
             code, out, _ = first[tuple(argv)]
             assert code == 0 and json.loads(out)["inputs"] == inputs
+
+
+# Each row is parsed twice: by `cli._parse`, which hands argv[1:] to the
+# named subcommand's own parser, and by the top-level parser alone.
+PARITY_ARGV = [
+    ["compose", "a.aut", "b.aut"],
+    ["compose", "a.aut", "b.aut", "--json"],
+    ["compose", "--json", "a.aut", "b.aut"],
+    ["power", "a.aut", "-3"],
+    ["exp", "flow.der", "--", "-1/2"],
+    ["counterexample", "--word-len", "4", "--", "-1/2", "1/3"],
+    ["closure", "a.der", "b.der", "c.der"],
+    ["fuzz-degree", "2", "3", "--trials", "4", "--word-len", "2", "--seed", "9"],
+    ["fuzz-degree", "2", "3", "--tri", "4"],
+    ["unipotent-test", "a.der"],
+    ["compose"],
+    ["compose", "a.aut"],
+    ["closure"],
+    ["compose", "a.aut", "b.aut", "c.aut"],
+    ["compose", "a.aut", "b.aut", "--nope"],
+    ["compose", "a.aut", "b.aut", "--json=1"],
+    ["exp", "flow.der", "-1/2"],
+    ["power", "a.aut", "two"],
+    ["exp", "flow.der", "1/0"],
+    ["derived-depth", "2", "1", "--seed"],
+    ["no-such-command"],
+    ["--json", "compose", "a.aut", "b.aut"],
+    [],
+    ["-h"],
+    ["--help"],
+    ["compose", "-h"],
+    ["fuzz-degree", "--help"],
+    ["compose", "a.aut", "--js"],
+    ["compose", "a.aut", "b.aut", "--js"],
+    ["compose", "--", "--json"],
+]
+
+
+def _parse_outcome(parse, argv):
+    """(namespace, or the usage error's args, or the exit code; stdout; stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            outcome = vars(parse(list(argv)))
+    except cli._UsageError as exc:
+        outcome = exc.args
+    except SystemExit as exc:
+        outcome = exc.code
+    return outcome, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGV, ids=" ".join)
+def test_subcommand_dispatch_matches_the_top_level_parse(argv):
+    assert _parse_outcome(cli._parse, argv) == _parse_outcome(cli._parser().parse_args, argv)
+
+
+def test_a_valid_call_is_parsed_by_its_subcommand_parser_alone(monkeypatch):
+    def refuse(self, args=None, namespace=None):
+        raise AssertionError("top-level parse")
+
+    monkeypatch.setattr(cli._Parser, "parse_args", refuse)
+    args = cli._parse(["counterexample", "--word-len", "4", "--", "-1/2", "1/3"])
+    assert (args.command, args.word_len, args.json) == ("counterexample", 4, False)
+    assert (args.a, args.b) == (Fraction(-1, 2), Fraction(1, 3))
+    with pytest.raises(AssertionError, match="top-level parse"):
+        cli._parse(["compose", "a.aut", "b.aut", "c.aut"])
+
+
+JSON_VALUES = [
+    {}, [], (), "", 0, -7, 10 ** 40, -(10 ** 40), None, True, False,
+    [[], {}, ()],
+    {"a": [], "b": {}, "c": ()},
+    [(1, 2), (3, (4, [5, (None,)]))],
+    {"witness": ("x1", "x2^-1"), "counts": [(2, 0), (4, 1)]},
+    'a "quote", a backslash \\ and a slash /',
+    "caf\u00e9 \u2202 \U0001d465 \u2028",
+    "\x00\x01\x1f\t\n\r\x7f",
+    {"k\u00e9y \"1\"": {"nested": [None, True, False, -1, "\\"]}},
+    {"command": None, "inputs": [], "result": None, "diagnostics": ["error: x"]},
+]
+
+
+@pytest.mark.parametrize("value", JSON_VALUES, ids=repr)
+def test_json_writer_matches_json_dumps(value):
+    assert cli._json(value) == json.dumps(value, indent=2)
+
+
+def test_json_writer_refuses_what_json_dumps_refuses():
+    for value in ([object()], {"k": {1, 2}}):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError) as got:
+            cli._json(value)
+        assert str(got.value) == str(expected.value)
+
+
+def test_json_writer_matches_json_dumps_on_generated_values():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    leaves = st.none() | st.booleans() | st.integers() | st.text()
+    values = st.recursive(
+        leaves, lambda inner: (st.lists(inner, max_size=4)
+                               | st.lists(inner, max_size=4).map(tuple)
+                               | st.dictionaries(st.text(), inner, max_size=4)),
+        max_leaves=24)
+
+    @hypothesis.settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(values)
+    def check(value):
+        assert cli._json(value) == json.dumps(value, indent=2)
+
+    check()
