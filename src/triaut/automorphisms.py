@@ -43,6 +43,8 @@ from .polynomials import (
     _checked_index,
     _checked_int,
     _coordinate,
+    _make,
+    _pack,
     _substitute_add,
     _text,
     as_scalar,
@@ -363,14 +365,16 @@ def _shape_error(label: str, i: int, top: int) -> TriangularityError:
 def _random_tails(n: int, max_degree: int, rng: Random, density: float) -> list[Polynomial]:
     """Triangular tails h_1..h_n, drawn in order: each candidate monomial in
     x_1..x_{i-1} of degree <= max_degree is kept with probability `density`,
-    with a coefficient drawn from `_COEFFICIENTS`."""
+    with a coefficient drawn from `_COEFFICIENTS`.  The coefficients are
+    nonzero ints and the monomials distinct, so each tail is built
+    straight from its packed keys over denominator 1."""
     tails = []
     for i in range(1, n + 1):
-        terms: dict[Monomial, Scalar] = {}
-        for key in monomials_up_to_degree(i - 1, max_degree):
+        num: dict[int, int] = {}
+        for exponents in monomials_up_to_degree(i - 1, max_degree):
             if rng.random() < density:
-                terms[key] = rng.choice(_COEFFICIENTS)
-        tails.append(Polynomial(terms, n))
+                num[_pack(exponents)] = rng.choice(_COEFFICIENTS)
+        tails.append(_make(num, 1, n))
     return tails
 
 

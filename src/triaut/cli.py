@@ -11,11 +11,15 @@ failure, usage errors included.
 `run(argv, stdout, stderr, stdin)` is the in-process entry point.  All of
 its output, argparse's usage, help and error text included, goes to the
 given streams, and a `-` operand is read from the given stdin.  The parser
-is built once per process, on the first call, and reused by every later
-one.  When argv[0] names a subcommand, the rest of argv goes straight to
-that subcommand's own parser; the top-level parser reparses argv only
-when argv is empty, names no subcommand, or leaves arguments over, so
-argparse's own usage and error texts come out unchanged.  `--json`
+is built once per process, on the first call that needs it, and reused
+by every later one.  A valid call is parsed from the `_COMMANDS` table
+alone (`_table_parse`), into the namespace argparse would give; on
+anything the table cannot show argparse would read the same way (help,
+an unknown or abbreviated option, a bad value or operand count, and the
+few `--` and option placements argparse reads apart) it declines and
+the argparse parser parses argv, so argparse stays the one source of
+help, usage and error texts.  Every `-` operand of a call reads the
+same text: stdin is read once, when the first one needs it.  `--json`
 output is written by `_json`, which gives `json.dumps(payload,
 indent=2)`'s bytes without its pure-Python indenting encoder.
 """
@@ -50,7 +54,7 @@ from .polynomials import Polynomial
 
 def _read(args, path: str) -> str:
     if path == "-":
-        return args.stdin.read()
+        return args.stdin()
     with open(path, "r", encoding="utf-8") as handle:
         return handle.read()
 
@@ -105,10 +109,10 @@ class _Command(NamedTuple):
     the fields after `handler` declare the shared flags (a default for
     trials/word_len, a switch for seed).  `handler(args)` returns an
     automorphism, a derivation, a harness report, or a ready
-    (json result, human text) pair; `args.stdin` is the stream a `-`
-    operand is read from.  Handlers call library functions by
-    module-global name at call time, so rebinding a module attribute
-    (as a tracer does) reaches every command.
+    (json result, human text) pair; `args.stdin()` is the text every `-`
+    operand of the call reads, taken from the stream once.  Handlers call
+    library functions by module-global name at call time, so rebinding a
+    module attribute (as a tracer does) reaches every command.
     """
 
     help: str
@@ -118,6 +122,24 @@ class _Command(NamedTuple):
     trials: int | None = None
     word_len: int | None = None
     epilog: str | None = None
+
+
+# The shared flags: option string -> (dest, help text around the default).
+_FLAGS = {
+    "--seed": ("seed", "RNG seed (default {})"),
+    "--trials": ("trials", "number of sampled trials (default {})"),
+    "--word-len": ("word_len", "maximum word length (default {})"),
+}
+
+
+def _flag_defaults(command: _Command) -> dict[str, int]:
+    """dest -> default of the shared flags the command declares."""
+    defaults = {"seed": 0} if command.seed else {}
+    if command.trials is not None:
+        defaults["trials"] = command.trials
+    if command.word_len is not None:
+        defaults["word_len"] = command.word_len
+    return defaults
 
 
 _INT = {"type": int}
@@ -186,8 +208,6 @@ class _Parser(argparse.ArgumentParser):
     """Raises `_UsageError` where argparse would print and exit, so that a
     usage error reaches `run`'s streams; subparsers inherit the class."""
 
-    subcommands: dict[str, _Parser]  # on the top-level parser only
-
     def error(self, message):
         # argparse's own wording, through the same gettext lookup
         line = gettext("%(prog)s: error: %(message)s\n") % {"prog": self.prog,
@@ -208,29 +228,82 @@ def _parser() -> _Parser:
         for arg, options in command.positionals:
             p.add_argument(arg, **options)
         p.add_argument("--json", action="store_true", help="emit a JSON report")
-        if command.seed:
-            p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-        if command.trials is not None:
-            p.add_argument("--trials", type=int, default=command.trials,
-                           help=f"number of sampled trials (default {command.trials})")
-        if command.word_len is not None:
-            p.add_argument("--word-len", type=int, default=command.word_len,
-                           help=f"maximum word length (default {command.word_len})")
-    parser.subcommands = sub.choices  # name -> that subcommand's own parser
+        defaults = _flag_defaults(command)
+        for flag, (dest, text) in _FLAGS.items():
+            if dest in defaults:
+                p.add_argument(flag, type=int, default=defaults[dest],
+                               help=text.format(defaults[dest]))
     return parser
 
 
+# argparse's form of a negative number, which it reads as an operand (no
+# option here looks like one)
+_NEGATIVE = re.compile(r"-\d+|-\d*\.\d+")
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """argv parsed by the subcommand parser that argv[0] names, when it
-    leaves nothing over; otherwise by the top-level parser, which gives
-    the same namespace and argparse's own usage and error texts."""
-    parser = _parser()
-    sub = parser.subcommands.get(argv[0]) if argv else None
-    if sub is not None:
-        args, extras = sub.parse_known_args(argv[1:])
-        if not extras:
-            return args
-    return parser.parse_args(argv)
+    """argv read from `_COMMANDS` by `_table_parse`; where that declines,
+    by argparse, which gives its own help, usage and error texts."""
+    args = _table_parse(argv)
+    return args if args is not None else _parser().parse_args(argv)
+
+
+def _table_parse(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse gives for argv, read from `_COMMANDS` alone,
+    or None wherever argparse might read argv otherwise: no command,
+    -h, an unknown, abbreviated or `--flag=value` option, a flag without
+    a value or with an option-like one, a value its type refuses, a
+    wrong operand count, a second `--` or one no operand absorbs, and
+    operands of a `nargs="+"` positional split by an option."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    options = {"json": False, **_flag_defaults(command)}
+    operands: list[str] = []
+    runs = 0  # runs of operands between options
+    after_operand = dashes = loose = False
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "--":
+            if dashes:
+                return None
+            # argparse drops a "--" next to an operand; any other is left over
+            dashes, loose = True, not after_operand
+        elif dashes or token[:1] != "-" or token == "-" or _NEGATIVE.fullmatch(token):
+            runs += not after_operand
+            operands.append(token)
+            after_operand, loose = True, False
+        elif token == "--json":
+            options["json"] = True
+            after_operand = False
+        else:
+            dest = _FLAGS[token][0] if token in _FLAGS else None
+            value = next(tokens, None)
+            if (dest not in options or value is None
+                    or value[:1] == "-" and not _NEGATIVE.fullmatch(value)):
+                return None
+            try:
+                options[dest] = int(value)
+            except ValueError:
+                return None
+            after_operand = False
+    positionals = command.positionals
+    # a "+" positional is its command's only one, fed by one run of operands
+    many = positionals[0][1].get("nargs") == "+"
+    if loose or (runs != 1 if many else len(operands) != len(positionals)):
+        return None
+    values = {"command": argv[0]}
+    try:
+        if many:
+            (name, spec), = positionals
+            convert = spec.get("type", str)
+            values[name] = [convert(token) for token in operands]
+        else:
+            for (name, spec), token in zip(positionals, operands):
+                values[name] = spec.get("type", str)(token)
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        return None
+    return argparse.Namespace(**values, **options)
 
 
 def _inputs(command: _Command, args) -> list[dict]:
@@ -319,7 +392,7 @@ def run(argv=None, stdout=None, stderr=None, stdin=None) -> int:
         return 2
     wants_json = getattr(args, "json", False)
     command = _COMMANDS[args.command]
-    args.stdin = stdin
+    args.stdin = cache(lambda: stdin.read())
     try:
         result, human = _render(command.handler(args))
     except (PropertyViolation, ValueError, OSError) as exc:

@@ -10,14 +10,20 @@ formal power series.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import factorial
 from random import Random
 from typing import Iterator, Sequence
 
 from .automorphisms import TriangularAutomorphism, _random_tails, _triangular, _trusted, identity
 from .errors import CapExceededError
-from .polynomials import Polynomial, _checked_int, _weighted_degree, as_scalar
+from .polynomials import (
+    Polynomial,
+    Scalar,
+    _checked_int,
+    _merged,
+    _normalised,
+    _weighted_degree,
+    as_scalar,
+)
 
 # Entry i of a derivation's tuple, in `automorphisms._shape_error`'s text.
 _COEFFICIENT_LABEL = "coefficient of d/dx{}"
@@ -150,19 +156,39 @@ def exponential(d: TriangularDerivation, s) -> TriangularAutomorphism:
     """exp(s*D): the unitriangular automorphism x_i -> sum_k s^k D^k(x_i) / k!.
 
     The sum is finite and exact: D^k(x_i) = D^(k-1)(g_i) for g_i = D(x_i)
-    is 0 for k > w_i (see `_weights`), and s^k / k! is a rational scalar.
-    The tails are triangular by construction.
+    is 0 for k > w_i (see `_weights`).  It is a polynomial in s whose
+    coefficients, the iterates D^(k-1)(g_i), do not depend on s, so they
+    are built once (`_coordinate_iterates`) and summed at any s by
+    `_exponential`.  The tails are triangular by construction.
     """
     s = as_scalar(s)
-    n = d.n
     if not s:
-        return identity(n)
-    weights = _weights([d], n)
+        return identity(d.n)
+    return _exponential(d.n, _coordinate_iterates(d), s)
+
+
+def _coordinate_iterates(d: TriangularDerivation) -> list[list[Polynomial]]:
+    """[g_i, D(g_i), D^2(g_i), ...] for each coefficient g_i of D, each
+    run capped by its weight (see `_weights`)."""
+    weights = _weights([d], d.n)
+    return [list(_iterates(d, g, w)) for g, w in zip(d.coeffs, weights)]
+
+
+def _exponential(n: int, iterates: list[list[Polynomial]], s: Scalar) -> TriangularAutomorphism:
+    """exp(s*D) from D's `_coordinate_iterates`, for a nonzero scalar s:
+    tail i is sum_k s^k / k! * D^(k-1)(g_i), added term by term into one
+    numerator dict by `_merged` and normalised once."""
+    p, q = (s, 1) if type(s) is int else (s.numerator, s.denominator)
     tails = []
-    for g, w in zip(d.coeffs, weights):
-        series = enumerate(_iterates(d, g, w), start=1)
-        tails.append(sum((term * Fraction(s ** k, factorial(k)) for k, term in series),
-                         Polynomial.zero(n)))
+    for series in iterates:
+        num: dict[int, int] = {}
+        den = 1
+        scale, scale_den = 1, 1     # s^k / k! = scale / scale_den, unreduced
+        for k, term in enumerate(series, start=1):
+            scale *= p
+            scale_den *= q * k
+            num, den = _merged(num, den, term._num, term._den * scale_den, scale, True)
+        tails.append(_normalised(num, den, n))
     return _trusted(n, (1,) * n, tails)
 
 

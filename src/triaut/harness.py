@@ -26,7 +26,7 @@ from .automorphisms import (
     random_triangular,
     staircase_map,
 )
-from .derivations import exponential
+from .derivations import _coordinate_iterates, _exponential
 from .errors import PropertyViolation
 from .polynomials import Polynomial, Scalar, as_scalar
 
@@ -211,6 +211,8 @@ def unipotent_generation_test(derivations, max_word_len: int, trials: int,
     if max_word_len < 1 or trials < 1:
         raise ValueError("max_word_len and trials must be positive")
     rng = Random(seed)
+    # each derivation's iterates serve every scalar drawn for it
+    iterates: dict[int, list[list[Polynomial]]] = {}
     exp_cache: dict[tuple[int, Scalar], TriangularAutomorphism] = {}
     max_degree = 0
     for trial in range(trials):
@@ -222,8 +224,10 @@ def unipotent_generation_test(derivations, max_word_len: int, trials: int,
             key = (idx, s)
             factor = exp_cache.get(key)
             if factor is None:
-                factor = exponential(derivations[idx], s)
-                exp_cache[key] = factor
+                series = iterates.get(idx)
+                if series is None:
+                    series = iterates[idx] = _coordinate_iterates(derivations[idx])
+                factor = exp_cache[key] = _exponential(n, series, s)
             factors.append(factor)
         # each draw acts after the ones before it: the last is outermost
         result = compose_all(factors[::-1], n)

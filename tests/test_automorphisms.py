@@ -20,7 +20,7 @@ from triaut.automorphisms import (
 )
 from triaut.errors import TriangularityError
 from triaut.harness import degree_fuzz
-from triaut.polynomials import Polynomial, scalar_inverse
+from triaut.polynomials import Polynomial, monomials_up_to_degree, scalar_inverse
 
 from helpers import (random_polynomial, random_scalar, reference_substitute, to_sympy,
                      wide_rational_polynomial)
@@ -558,6 +558,25 @@ def test_random_triangular_is_deterministic_per_seed():
     b = random_triangular(3, 2, seed=99)
     assert a == b
     assert a != random_triangular(3, 2, seed=100) or True  # different seed may differ
+
+
+def test_random_tails_are_the_kept_monomials_with_their_drawn_coefficients():
+    # the sampler's draws, replayed: one random() per candidate monomial
+    # and one choice() per kept one, built through the Polynomial constructor
+    for seed in range(40):
+        n, m, density = 1 + seed % 4, seed % 3, (0.25, 0.5, 1.0)[seed % 3]
+        replay, expected = Random(seed), []
+        for i in range(1, n + 1):
+            terms = {}
+            for key in monomials_up_to_degree(i - 1, m):
+                if replay.random() < density:
+                    terms[key] = replay.choice(automorphisms._COEFFICIENTS)
+            expected.append(Polynomial(terms, n))
+        rng = Random(seed)
+        tails = automorphisms._random_tails(n, m, rng, density)
+        assert tails == expected and [t.nvars for t in tails] == [n] * n
+        assert [str(t) for t in tails] == [str(t) for t in expected]
+        assert rng.random() == replay.random()
 
 
 def test_random_triangular_respects_degree_class():

@@ -73,6 +73,15 @@ def test_invert_reads_stdin():
     assert out == "n=2\nx1 -> x1\nx2 -> x2 - x1^2\n"
 
 
+def test_every_dash_operand_of_a_call_reads_the_same_stdin():
+    # stdin is read once per call: `compose - -` squares the map on stdin
+    square = invoke(["compose", "-", "-"], stdin_text=TOWER_MAP)
+    assert square == invoke(["power", "-", "2"], stdin_text=TOWER_MAP) == (0, TOWER_SQUARE, "")
+    code, out, _ = invoke(["closure", "-", "-", "--json"], stdin_text=SHEAR_FLOW)
+    assert code == 0
+    assert json.loads(out)["inputs"] == named(("derivations", "-"), ("derivations", "-"))
+
+
 def test_each_call_reads_its_own_stdin_with_one_parser(monkeypatch):
     monkeypatch.setattr("sys.stdin", None)  # the process stdin must not be touched
     cli._parser()
@@ -415,8 +424,9 @@ def test_in_process_calls_are_independent(ddx1_file, phi_file, heis_file, flow_f
             assert code == 0 and json.loads(out)["inputs"] == inputs
 
 
-# Each row is parsed twice: by `cli._parse`, which hands argv[1:] to the
-# named subcommand's own parser, and by the top-level parser alone.
+# Each row is parsed twice: by `cli._parse`, which reads a valid call from
+# the `_COMMANDS` table and leaves anything else to argparse, and by the
+# top-level argparse parser alone.
 PARITY_ARGV = [
     ["compose", "a.aut", "b.aut"],
     ["compose", "a.aut", "b.aut", "--json"],
@@ -448,6 +458,20 @@ PARITY_ARGV = [
     ["compose", "a.aut", "--js"],
     ["compose", "a.aut", "b.aut", "--js"],
     ["compose", "--", "--json"],
+    # argparse reads these two apart from a naive table parse: an option
+    # ends the run of a nargs="+" positional, and a second "--" is an operand
+    ["closure", "a.der", "--json", "b.der"],
+    ["compose", "-", "--", "--"],
+    ["compose", "a.aut", "b.aut", "--"],
+    ["compose", "a.aut", "b.aut", "--json", "--"],
+    ["compose", "--json", "--", "a.aut", "b.aut"],
+    ["fuzz-degree", "--seed", "-1", "2", "3"],
+    ["fuzz-degree", "2", "3", "--seed", "--json"],
+    ["fuzz-degree", "2", "3", "--seed=4"],
+    ["fuzz-degree", "2", "3", "--seed", "-1_0"],
+    ["fuzz-degree", "2", "3", "--trials", "-5 "],
+    ["exp", "flow.der", "-.5"],
+    ["power", "a.aut", "-1e3"],
 ]
 
 
@@ -469,16 +493,92 @@ def test_subcommand_dispatch_matches_the_top_level_parse(argv):
     assert _parse_outcome(cli._parse, argv) == _parse_outcome(cli._parser().parse_args, argv)
 
 
-def test_a_valid_call_is_parsed_by_its_subcommand_parser_alone(monkeypatch):
-    def refuse(self, args=None, namespace=None):
-        raise AssertionError("top-level parse")
+# One argv of each shape the cli-mix benchmark workload runs.
+CLI_MIX_ARGV = [
+    ["compose", "a.aut", "b.aut", "--json"],
+    ["commutator", "a.aut", "b.aut", "--json"],
+    ["invert", "a.aut", "--json"],
+    ["factor", "a.aut", "--json"],
+    ["power", "--json", "a.aut", "--", "-2"],
+    ["exp", "--json", "flow.der", "--", "-1/2"],
+    ["bracket", "a.der", "b.der", "--json"],
+    ["closure", "a.der", "--json"],
+    ["fuzz-degree", "2", "3", "--json", "--trials", "10", "--word-len", "4", "--seed", "17"],
+    ["derived-depth", "3", "2", "--json", "--trials", "2", "--seed", "17"],
+    ["unipotent-test", "a.der", "--json", "--trials", "5", "--word-len", "3", "--seed", "17"],
+    ["counterexample", "--json", "--word-len", "9", "--", "-1/2", "1/3"],
+]
 
-    monkeypatch.setattr(cli._Parser, "parse_args", refuse)
+
+def test_a_valid_call_is_parsed_by_its_subcommand_parser_alone(monkeypatch):
+    # a valid call is read from the table: no argparse parse runs at all
+    def refuse(self, args=None, namespace=None):
+        raise AssertionError("argparse parse")
+
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "parse_args", refuse)
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "parse_known_args", refuse)
     args = cli._parse(["counterexample", "--word-len", "4", "--", "-1/2", "1/3"])
     assert (args.command, args.word_len, args.json) == ("counterexample", 4, False)
     assert (args.a, args.b) == (Fraction(-1, 2), Fraction(1, 3))
-    with pytest.raises(AssertionError, match="top-level parse"):
+    for argv in CLI_MIX_ARGV:
+        args = cli._parse(argv)
+        assert (args.command, args.json) == (argv[0], True)
+    with pytest.raises(AssertionError, match="argparse parse"):
         cli._parse(["compose", "a.aut", "b.aut", "c.aut"])
+    monkeypatch.undo()
+    for argv in CLI_MIX_ARGV:
+        assert vars(cli._parse(argv)) == vars(cli._parser().parse_args(argv))
+
+
+# Tokens for generated argv: every flag in full, abbreviated and in
+# --flag=value form, "--", "-", -h, negative numbers, rationals, bad ints
+# and paths.
+ARGV_TOKENS = [
+    "--json", "--seed", "--trials", "--word-len", "--js", "--j", "--se", "--tri",
+    "--word", "--json=1", "--seed=3", "--trials=2", "--word-len=4", "--nope", "-x",
+    "--", "-", "-h", "--help", "-3", "-12", "-.5", "-0.5", "-1/2", "-1e3", "-1 2",
+    "-1_0", "0", "2", "3", "+4", " 5", "1/2", "2/4", "1/0", "0.25", "1e3", "two", "",
+    "a.aut", "b.der", "x",
+]
+
+
+def test_table_parse_gives_argparse_namespace_or_leaves_the_call_to_it():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def values(valid):
+        # seven in eight values are of the kind the argument takes
+        return st.sampled_from(valid * (7 * len(ARGV_TOKENS) // len(valid)) + ARGV_TOKENS)
+
+    kinds = {str: values(["a.aut", "-", "2", "-3"]), int: values(["2", "3", "0", "-3"]),
+             cli._rational: values(["1/2", "-3", "2", "-.5"])}
+
+    @st.composite
+    def argvs(draw):
+        """A call near a valid one: about the command's operand count,
+        shared flags with values, in any order, maybe one token anywhere."""
+        name = draw(st.sampled_from(sorted(cli._COMMANDS) + ["no-such-command", "-h"]))
+        positionals = cli._COMMANDS[name].positionals if name in cli._COMMANDS else ()
+        count = draw(st.sampled_from([len(positionals)] * 4 + [0, 1, 2, 3]))
+        groups = [[draw(kinds[positionals[min(i, len(positionals) - 1)][1].get("type", str)]
+                        if positionals else kinds[str])] for i in range(count)]
+        for flag in draw(st.lists(st.sampled_from(ARGV_TOKENS[:4]), max_size=3)):
+            groups.append([flag] if flag == "--json" else [flag, draw(kinds[int])])
+        rest = [token for group in draw(st.permutations(groups)) for token in group]
+        for token in draw(st.lists(st.sampled_from(ARGV_TOKENS), max_size=1)):
+            rest.insert(draw(st.integers(0, len(rest))), token)
+        return [name] + rest
+
+    @hypothesis.settings(max_examples=500, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(argvs())
+    def check(argv):
+        args = cli._table_parse(list(argv))
+        expected = _parse_outcome(cli._parser().parse_args, argv)
+        if args is not None:
+            assert vars(args) == expected[0] and expected[1:] == ("", "")
+        assert _parse_outcome(cli._parse, argv) == expected
+
+    check()
 
 
 JSON_VALUES = [

@@ -13,6 +13,7 @@ from triaut.derivations import (
     random_triangular_derivation,
 )
 from triaut.errors import CapExceededError, TriangularityError
+from triaut.harness import _EXP_SCALARS
 from triaut.polynomials import Polynomial
 
 from helpers import random_polynomial, to_sympy
@@ -260,6 +261,24 @@ def test_exponential_acts_by_the_truncated_series():
             factorial *= k
             s_power *= s
         assert via_substitution == series
+
+
+def test_exponential_is_the_series_of_applied_iterates_at_every_harness_scalar():
+    # exp(sD)(x_i) = sum_k s^k / k! * D^k(x_i), D^k by `apply` alone
+    rng = Random(311)
+    for _ in range(12):
+        n = rng.randint(1, 4)
+        d = random_derivation(rng, n=n, deg=rng.randint(0, 3))
+        for s in _EXP_SCALARS:
+            e = exponential(d, s)
+            for i in range(1, n + 1):
+                series, term, k, coefficient = Polynomial.zero(n), Polynomial.variable(i, n), 0, 1
+                while term:
+                    series = series + term * coefficient
+                    k += 1
+                    term, coefficient = d.apply(term), coefficient * Fraction(s) / k
+                assert e.coordinate(i) == series
+                assert str(e.coordinate(i)) == str(series)
 
 
 # -- differential tests against sympy -------------------------------------------
