@@ -18,10 +18,13 @@ anything the table cannot show argparse would read the same way (help,
 an unknown or abbreviated option, a bad value or operand count, and the
 few `--` and option placements argparse reads apart) it declines and
 the argparse parser parses argv, so argparse stays the one source of
-help, usage and error texts.  Every `-` operand of a call reads the
-same text: stdin is read once, when the first one needs it.  `--json`
-output is written by `_json`, which gives `json.dumps(payload,
-indent=2)`'s bytes without its pure-Python indenting encoder.
+help, usage and error texts.  An operand that argparse hands over as an
+empty list (it drops a second `--` from the operand that consumed it)
+is a usage error of the subcommand, as argparse would word it.  Every
+`-` operand of a call reads the same text: stdin is read once, when the
+first one needs it.  `--json` output is written by `_json`, which gives
+`json.dumps(payload, indent=2)`'s bytes without its pure-Python
+indenting encoder.
 """
 
 from __future__ import annotations
@@ -53,10 +56,13 @@ from .polynomials import Polynomial
 
 
 def _read(args, path: str) -> str:
+    """The text of a file operand, decoded as UTF-8 without a text-mode
+    stream: its line ends are left as they are, and the parsers split
+    lines with `str.splitlines`, which reads CR LF and a lone CR as LF."""
     if path == "-":
         return args.stdin()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    with open(path, "rb") as handle:
+        return handle.read().decode("utf-8")
 
 
 _INT_FRACTION = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
@@ -207,6 +213,18 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     """Raises `_UsageError` where argparse would print and exit, so that a
     usage error reaches `run`'s streams; subparsers inherit the class."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        """argparse's reading, refused with the subcommand's usage error
+        where it leaves a one-value operand as a list: it drops a second
+        "--" from the operand that consumed it (`compose - -- --` gives
+        inner=[])."""
+        namespace, extras = super().parse_known_args(args, namespace)
+        command = _COMMANDS.get(self.get_default("command"))  # None above the subparsers
+        for name, spec in command.positionals if command else ():
+            if "nargs" not in spec and isinstance(getattr(namespace, name), list):
+                self.error(f"argument {name}: expected one argument")
+        return namespace, extras
 
     def error(self, message):
         # argparse's own wording, through the same gettext lookup
@@ -384,8 +402,10 @@ def run(argv=None, stdout=None, stderr=None, stdin=None) -> int:
     except _UsageError as exc:
         text, message = exc.args
         flags = argv[:argv.index("--")] if "--" in argv else argv
-        # argparse's abbreviation rule: "--j", "--js" and "--jso" mean --json
-        if any(len(a) >= 3 and "--json".startswith(a) for a in flags):
+        # argparse's abbreviation rule: "--j", "--js" and "--jso" mean --json,
+        # also in the "--json=VALUE" form that argparse refuses
+        if any(len(f := a.partition("=")[0]) >= 3 and "--json".startswith(f)
+               for a in flags):
             name = next((a for a in flags if not a.startswith("-")), None)
             _emit_json(name if name in _COMMANDS else None, [], None, [message], stdout)
         print(text, end="", file=stderr)

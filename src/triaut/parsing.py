@@ -16,16 +16,25 @@ line-oriented:
     automorphism:  "n=<int>" then lines "x<i> -> <poly>" for i = 1..n
     derivation:    "n=<int>" then lines "dx<i> <- <poly>" for i = 1..n
 
-The parser works on the packed numerators of `triaut.polynomials`.  One
-regex splits an expression into tokens (kind, value, offset), and the
-offset becomes a (line, col) file position only when an error is raised.
+The parser works on the packed numerators of `triaut.polynomials`.  A
+token is a string, its own text: one `findall` of one regex splits an
+expression into INT, VAR and operator tokens, and a token's kind is read
+from its first character.  Before that, one regex search finds the first
+character no token starts with, and the variable indices ahead of it,
+read by one more `findall`, give the expression's nvars and show a
+variable x0; of those two errors the earlier in the text is raised.
+Offsets are not kept: a token's offset is found again, by scanning the
+text, only when an error at that token is raised, and becomes a
+(line, col) file position; a file line is matched whole, blanks
+included, and its expression is the rest of the line after the arrow.
 A term is (numerators, denominator).  Without parentheses it is one
 packed key over one numerator: an INT multiplies the numerator, x_i^e
 adds e to x_i's exponent field of the key and /INT multiplies the
 denominator.  Only a parenthesised factor becomes a `Polynomial`, and a
 term holding one is multiplied out by `*`.  Each expression adds its
 further terms into its first term's dict over a running common
-denominator, by `polynomials._merged`, and is normalised once.
+denominator, by `polynomials._merged`, and is normalised once, in the
+file's ambient n when it is a file line.
 
 The canonical printers (to_text / str) emit exactly this grammar, and
 print -> parse -> print is a fixed point byte for byte.
@@ -35,7 +44,7 @@ from __future__ import annotations
 
 import re
 from decimal import Decimal
-from itertools import groupby
+from itertools import groupby, islice
 from typing import Iterable
 
 from .automorphisms import TriangularAutomorphism, _TAIL_LABEL, _shape_error
@@ -46,13 +55,19 @@ from .polynomials import (
     Polynomial,
     _LIMIT,
     _SHIFT,
+    _digits,
     _merged,
     _normalised,
     _scalar,
 )
 
-# One group per token kind: INT, VAR, operator, any other character.
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|(x\d+)|([+\-*/^()])|(\S))")
+# A token is its own text: an INT, a VAR or an operator character.  Any
+# other non-blank character is an error, found by _STRAY_RE: an 'x' that
+# no digit follows, or a character no token starts with.
+_TOKEN_RE = re.compile(r"x?\d+|[+\-*/^()]")
+_STRAY_RE = re.compile(r"x(?!\d)|[^\sx\d+\-*/^()]")
+_VAR_RE = re.compile(r"x(\d+)")
+_END = ""  # the token after the last one
 
 # Numerators, denominator and ambient nvars of an expression, not normalised.
 _Parsed = tuple[dict[int, int], int, int]
@@ -72,18 +87,28 @@ class _ExprParser:
     """Recursive descent over the tokens of `text`, which begins at file
     position `start` = (line, col).
 
-    A token is a tuple (kind, value, offset): kind "int" or "var" with the
-    integer or the variable index as value, an operator character as both
-    kind and value, or "end" after the last token.  The offset is the index
-    of the token's first character in the text (for "end", just past the
-    last non-blank character); an error converts it to a file position.
+    The tokens are the texts `_TOKEN_RE` finds, then `_END`; a token's kind
+    is read from its first character.  A token's offset in the text (for
+    `_END`, just past the last non-blank character) is found again only
+    when an error at that token is raised, and converted to a file
+    position.  `nvars` is the largest variable index in the text.
     """
 
     def __init__(self, text: str, start: tuple[int, int]):
         self.text = text
         self.start = start
-        self.nvars = 0  # the largest variable index in the text
-        self.tokens = self._tokens()
+        stray = _STRAY_RE.search(text)
+        end = stray.start() if stray else len(text)
+        # every variable before the first stray character is a VAR token
+        indices = list(map(int, _VAR_RE.findall(text, 0, end)))
+        if 0 in indices:
+            zero = next(m for m in _VAR_RE.finditer(text) if not int(m[1]))
+            raise self._error("variable index must be at least 1", zero.start())
+        if stray:
+            raise self._error(f"unexpected character {stray[0]!r}", stray.start())
+        self.nvars = max(indices, default=0)
+        self.tokens = _TOKEN_RE.findall(text)
+        self.tokens.append(_END)
         self.pos = 0
 
     def _error(self, message: str, offset: int) -> ParseError:
@@ -95,41 +120,29 @@ class _ExprParser:
             col += offset
         return ParseError(message, line, col)
 
-    def _tokens(self) -> list[tuple]:
-        tokens = []
-        for match in _TOKEN_RE.finditer(self.text):
-            kind = match.lastindex
-            value = match[kind]
-            offset = match.start(kind)
-            if kind == 1:
-                tokens.append(("int", _integer(value), offset))
-            elif kind == 2:
-                index = int(value[1:])
-                if index < 1:
-                    raise self._error("variable index must be at least 1", offset)
-                if index > self.nvars:
-                    self.nvars = index
-                tokens.append(("var", index, offset))
-            elif kind == 3:
-                tokens.append((value, value, offset))
-            else:
-                raise self._error(f"unexpected character {value!r}", offset)
-        tokens.append(("end", None, len(self.text.rstrip())))
-        return tokens
+    def _offset(self, index: int) -> int:
+        """Offset in the text of token number `index`."""
+        if index == len(self.tokens) - 1:
+            return len(self.text.rstrip())
+        return next(islice(_TOKEN_RE.finditer(self.text), index, None)).start()
 
-    def _fail(self, tok: tuple, expected: str):
-        kind, value, offset = tok
-        if kind == "end":
+    def _fail(self, index: int, expected: str):
+        """Raise at token number `index`: `expected` was not found there."""
+        tok = self.tokens[index]
+        if tok == _END:
             shown = "end of input"
+        elif tok[0] == "x":
+            shown = repr(f"x{int(tok[1:])}")
+        elif tok.isdigit():
+            shown = repr(_digits(_integer(tok)))
         else:
-            shown = repr(f"x{value}" if kind == "var" else str(value))
-        raise self._error(f"expected {expected}, found {shown}", offset)
+            shown = repr(tok)
+        raise self._error(f"expected {expected}, found {shown}", self._offset(index))
 
     def parse(self) -> _Parsed:
         num, den = self.poly()
-        tok = self.tokens[self.pos]
-        if tok[0] != "end":
-            self._fail(tok, "end of expression")
+        if self.tokens[self.pos] != _END:
+            self._fail(self.pos, "end of expression")
         return num, den, self.nvars
 
     def poly(self) -> tuple[dict[int, int], int]:
@@ -137,74 +150,78 @@ class _ExprParser:
         not normalised: the first term's dict, with each further term added
         into it by `_merged` as it is read."""
         tokens = self.tokens
-        negated = tokens[self.pos][0] == "-"
+        negated = tokens[self.pos] == "-"
         self.pos += negated
         num, den = self.term()
         if negated:
             num = {k: -c for k, c in num.items()}
-        while (kind := tokens[self.pos][0]) in ("+", "-"):
+        while (op := tokens[self.pos]) == "+" or op == "-":
             self.pos += 1
             tnum, tden = self.term()
-            num, den = _merged(num, den, tnum, tden, 1 if kind == "+" else -1, True)
+            num, den = _merged(num, den, tnum, tden, 1 if op == "+" else -1, True)
         return num, den
 
     def term(self) -> tuple[dict[int, int], int]:
         """(numerators, denominator) of the term at the current token, in a
         fresh dict with no zero numerator."""
         tokens = self.tokens
+        pos = self.pos
         n = d = 1
         key = 0
         factors = None  # product of the parenthesised factors
         while True:
-            tok = tokens[self.pos]
-            self.pos += 1
-            kind = tok[0]
-            if kind == "int":
-                n *= tok[1]
-            elif kind == "var":
-                shift = _SHIFT * (tok[1] - 1)
-                if tokens[self.pos][0] == "^":
-                    exp = tokens[self.pos + 1]
-                    self.pos += 2
-                    if exp[0] != "int":
-                        self._fail(exp, "a non-negative integer exponent")
-                    if exp[1] >= _LIMIT:
-                        raise ValueError(f"exponent {exp[1]} of x{tok[1]} is not below "
+            tok = tokens[pos]
+            pos += 1
+            if tok.isdigit():
+                n *= _integer(tok)
+            elif tok[:1] == "x":
+                index = int(tok[1:])
+                shift = _SHIFT * (index - 1)
+                if tokens[pos] == "^":
+                    exp = tokens[pos + 1]
+                    if not exp.isdigit():
+                        self._fail(pos + 1, "a non-negative integer exponent")
+                    pos += 2
+                    e = _integer(exp)
+                    if e >= _LIMIT:
+                        raise ValueError(f"exponent {e} of x{index} is not below "
                                          f"2**{EXPONENT_BITS}")
-                    key += exp[1] << shift
+                    key += e << shift
                 else:
                     key += 1 << shift
                 if key >> shift & _LIMIT:  # the guard bit of x_i's field
-                    raise ValueError(f"term has an exponent of x{tok[1]} not below "
+                    raise ValueError(f"term has an exponent of x{index} not below "
                                      f"2**{EXPONENT_BITS}")
-            elif kind == "(":
+            elif tok == "(":
+                self.pos = pos
                 inner = _normalised(*self.poly(), self.nvars)
-                closing = tokens[self.pos]
-                self.pos += 1
-                if closing[0] != ")":
-                    self._fail(closing, "')'")
+                pos = self.pos
+                if tokens[pos] != ")":
+                    self._fail(pos, "')'")
+                pos += 1
                 factors = inner if factors is None else factors * inner
             else:
-                self._fail(tok, "a number, variable, or '('")
+                self._fail(pos - 1, "a number, variable, or '('")
             while True:
-                kind = tokens[self.pos][0]
-                if kind == "*":
-                    self.pos += 1
+                tok = tokens[pos]
+                if tok == "*":
+                    pos += 1
                     break
-                if kind != "/":
+                if tok != "/":
+                    self.pos = pos
                     if not n:
                         return {}, 1
                     if factors is None:
                         return {key: n}, d
                     p = factors * _normalised({key: n}, d, self.nvars)
                     return p._num, p._den
-                divisor = tokens[self.pos + 1]
-                self.pos += 2
-                if divisor[0] != "int":
-                    self._fail(divisor, "an integer divisor")
-                if not divisor[1]:
-                    raise self._error("division by zero", divisor[2])
-                d *= divisor[1]
+                divisor = tokens[pos + 1]
+                if not divisor.isdigit():
+                    self._fail(pos + 1, "an integer divisor")
+                if not (c := _integer(divisor)):
+                    raise self._error("division by zero", self._offset(pos + 1))
+                d *= c
+                pos += 2
 
 
 def parse_polynomial(text: str) -> Polynomial:
@@ -217,11 +234,13 @@ _HEADER_RE = re.compile(r"^n\s*=\s*(\d+)$")
 
 # The two file formats as (line prefix, arrow, what a line gives, entry
 # label of the shape error, line pattern): "x<i> -> <poly>" coordinates
-# and "dx<i> <- <poly>" coefficients.
+# and "dx<i> <- <poly>" coefficients.  A pattern matches the whole line,
+# blanks around it included, and its expression starts right after the
+# arrow, so a blank expression ends there, as on the stripped line.
 _AUTOMORPHISM_FILE = ("x", "->", "coordinate", _TAIL_LABEL,
-                      re.compile(r"^x(\d+)\s*->\s*(.*)$"))
+                      re.compile(r"\s*x(\d+)\s*->(.*)"))
 _DERIVATION_FILE = ("dx", "<-", "coefficient", _COEFFICIENT_LABEL,
-                    re.compile(r"^dx(\d+)\s*<-\s*(.*)$"))
+                    re.compile(r"\s*dx(\d+)\s*<-(.*)"))
 
 
 def _coordinate_file(lines: Iterable[tuple[int, str]],
@@ -251,18 +270,16 @@ def _coordinate_file(lines: Iterable[tuple[int, str]],
         raise ParseError(f"expected {n} '{prefix}<i> {arrow} <polynomial>' lines "
                          f"after the header, found {len(lines) - 1}")
     exprs = []
-    for i, (num, raw) in enumerate(lines[1:], start=1):
-        line = raw.strip()
-        match = line_re.match(line)
+    for i, (num, line) in enumerate(lines[1:], start=1):
+        match = line_re.fullmatch(line)
         if match is None:
-            raise ParseError(f"expected '{prefix}{i} {arrow} <polynomial>', found {line!r}",
-                             num, 1)
-        index = int(match.group(1))
+            raise ParseError(f"expected '{prefix}{i} {arrow} <polynomial>', "
+                             f"found {line.strip()!r}", num, 1)
+        index = int(match[1])
         if index != i:
             raise ParseError(f"{kind} lines must appear in order; expected "
                              f"{prefix}{i}, found {prefix}{index}", num, 1)
-        col = len(raw) - len(raw.lstrip()) + match.start(2) + 1
-        parser = _ExprParser(match.group(2), (num, col))
+        parser = _ExprParser(match[2], (num, match.start(2) + 1))
         if parser.nvars > n:
             raise _shape_error(label, i, parser.nvars)
         exprs.append(parser.parse())
@@ -277,15 +294,15 @@ def parse_automorphism(text: str) -> TriangularAutomorphism:
                                       _AUTOMORPHISM_FILE)
     lambdas = []
     tails = []
-    for i, (num, den, nvars) in enumerate(coordinates, start=1):
+    for i, (num, den, _) in enumerate(coordinates, start=1):
         lambdas.append(_scalar(num.pop(1 << (_SHIFT * (i - 1)), 0), den))
-        tails.append(_normalised(num, den, nvars))
+        tails.append(_normalised(num, den, n))
     return TriangularAutomorphism(n, lambdas, tails)
 
 
 def _derivation(lines: Iterable[tuple[int, str]]) -> TriangularDerivation:
     n, coeffs = _coordinate_file(lines, _DERIVATION_FILE)
-    return TriangularDerivation(n, [_normalised(*c) for c in coeffs])
+    return TriangularDerivation(n, [_normalised(num, den, n) for num, den, _ in coeffs])
 
 
 def parse_derivation(text: str) -> TriangularDerivation:

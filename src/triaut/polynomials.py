@@ -73,8 +73,15 @@ numerators and denominators are, whatever their `nvars`.
 coefficient} (a `types.MappingProxyType`), built when it is read, with
 coefficients `int` where integral and `fractions.Fraction` otherwise.
 The canonical text (`_text`, behind `str` and a map's `to_text`) does
-not go through it: it reads each packed key's exponent fields once and
-reduces each numerator against its denominator by an integer gcd.
+not go through it.  It takes each packed key's sort key and monomial
+text ("x1^2*x3") from `_monomial`, a `functools.lru_cache` bounded at
+_MONOMIAL_CACHE = 4,096 keys (1.2 MB when full of four-variable keys),
+and reduces each numerator against its denominator by an integer gcd.
+The cache pays off only where the monomials repeat within one process,
+as they do across the maps of one computation or of a run of in-process
+CLI calls: a key seen before skips the decoding of its exponent fields,
+and a key seen first costs that decoding plus the cache's own
+bookkeeping.
 Polynomials are immutable values: nothing here mutates its inputs, and
 an operation may hand back an operand unchanged (p * 1 is p) or share
 its numerator dict.  The result of an operation lives in the larger of
@@ -111,6 +118,9 @@ _PACKED_PAIRS = 256
 _PACKED_FILL = 12
 _PACKED_SPAN = 8
 _HALF_WORD = (1 << 63).to_bytes(8, "little")
+
+# Keys the canonical printer's cache holds (see `_monomial`).
+_MONOMIAL_CACHE = 4096
 
 # Degree of the zero polynomial: absorbed by max(), propagates through
 # bound comparisons, and can never be confused with an integer degree.
@@ -542,51 +552,69 @@ def _coordinate(lam: Scalar, index: int, tail: "Polynomial") -> "Polynomial":
     return _make(num, den, tail.nvars)
 
 
+@lru_cache(maxsize=_MONOMIAL_CACHE)
+def _monomial(key: int) -> tuple:
+    """(degree, -e_1, ..., -e_v, text) for the monomial a packed key stands
+    for, with e_v its last nonzero exponent; the text is its factors, as
+    in "x1^2*x3" ("" for the constant monomial).
+
+    As a sort key it gives `term_order_key`'s order, and two keys never
+    compare as far as their texts: keys of one degree differ before the
+    shorter one's exponents end (were those a prefix of the longer one's,
+    its extra entries would sum to 0, and its last one is nonzero)."""
+    negated = []
+    factors = []
+    while key:
+        e = key & _MASK
+        negated.append(-e)
+        if e:
+            i = len(negated)
+            factors.append(f"x{i}" if e == 1 else f"x{i}^{e}")
+        key >>= _SHIFT
+    return (-sum(negated), *negated, "*".join(factors))
+
+
 def _text(poly: "Polynomial", lam: Scalar = 0, index: int = 0) -> str:
     """Canonical text of poly + lam * x_index (of poly alone for lam = 0),
-    for an x_index absent from poly: terms in `term_order_key` order, read
-    straight from the packed keys, each coefficient reduced against its
-    denominator by one integer gcd.  The sum is never built, so a map's
-    coordinate prints without the copy `_coordinate` makes."""
-    den = poly._den
-    terms = [(key, c, den) for key, c in poly._num.items()]
+    for an x_index absent from poly: terms in `term_order_key` order, each
+    key's sort key and monomial text from `_monomial`, each coefficient
+    reduced against its denominator by one integer gcd.  The sum is never
+    built, so a map's coordinate prints without the copy `_coordinate`
+    makes."""
+    num = poly._num
+    keys = list(num)
     if lam:
+        keys.append(1 << (_SHIFT * (index - 1)))
         p, q = (lam, 1) if type(lam) is int else (lam.numerator, lam.denominator)
-        terms.append((1 << (_SHIFT * (index - 1)), p, q))
-    if not terms:
+    if not keys:
         return "0"
-    rows = []
-    for key, c, d in terms:
-        negated = []  # -e_1, ..., -e_v up to the last variable present
-        factors = []
-        while key:
-            e = key & _MASK
-            negated.append(-e)
-            if e:
-                i = len(negated)
-                factors.append(f"x{i}" if e == 1 else f"x{i}^{e}")
-            key >>= _SHIFT
-        # Of two keys of one degree, neither trimmed list is a proper
-        # prefix of the other (the longer one's extra entries would sum
-        # to 0), so these lists sort as term_order_key's full tuples do.
-        rows.append((-sum(negated), negated, factors, c, d))
-    rows.sort()
+    keys.sort(key=_monomial)
+    den = poly._den
     pieces = []
-    for _, _, factors, c, d in rows:
-        g = gcd(c, d)
-        p, q = abs(c) // g, d // g
-        coeff = _digits(p) if q == 1 else f"{_digits(p)}/{_digits(q)}"
-        vars_part = "*".join(factors)
-        if not vars_part:
-            body = coeff
-        elif p == q == 1:
-            body = vars_part
+    for key in keys:
+        c = num.get(key)
+        d = den
+        if c is None:  # lam's term
+            c, d = p, q
+        if d != 1:
+            g = gcd(c, d)
+            if g != 1:
+                c //= g
+                d //= g
+        sign = "- " if c < 0 else "+ "
+        c = abs(c)
+        coeff = _digits(c)
+        if d != 1:
+            coeff = f"{coeff}/{_digits(d)}"
+        monomial = _monomial(key)[-1]
+        if not monomial:
+            pieces.append(sign + coeff)
+        elif coeff == "1":
+            pieces.append(sign + monomial)
         else:
-            body = f"{coeff}*{vars_part}"
-        if not pieces:
-            pieces.append(f"-{body}" if c < 0 else body)
-        else:
-            pieces.append(f"- {body}" if c < 0 else f"+ {body}")
+            pieces.append(f"{sign}{coeff}*{monomial}")
+    first = pieces[0]
+    pieces[0] = first[2:] if first[0] == "+" else "-" + first[2:]
     return " ".join(pieces)
 
 

@@ -405,10 +405,60 @@ def test_json_usage_error_keeps_schema():
         assert json.loads(out) == {
             "command": "compose", "inputs": [], "result": None,
             "diagnostics": ["the following arguments are required: inner"]}
-    # after '--', "--json" is an operand, not the flag; "--" itself is no prefix
-    for argv in (["compose", "--", "--json"], ["compose", "--"]):
+    # ... also in the "=VALUE" form, which it refuses for a switch
+    for flag in ("--json=1", "--js=1"):
+        code, out, err = invoke(["compose", "a.aut", "b.aut", flag])
+        message = "argument --json: ignored explicit argument '1'"
+        assert code == 2 and err.endswith(f"triaut compose: error: {message}\n")
+        assert json.loads(out) == {
+            "command": "compose", "inputs": [], "result": None, "diagnostics": [message]}
+    # after '--', "--json" is an operand, not the flag; "--" itself is no
+    # prefix, also before "=" (argparse finds "--=1" ambiguous)
+    for argv in (["compose", "--", "--json"], ["compose", "--"],
+                 ["compose", "a.aut", "b.aut", "--=1"]):
         code, out, _ = invoke(argv)
         assert (code, out) == (2, "")
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["compose", "-", "--", "--"], "inner"),
+    (["power", "-", "--", "--"], "k"),
+    (["exp", "-", "--", "--"], "s"),
+    (["counterexample", "--", "1/2", "--"], "b"),
+])
+def test_an_operand_argparse_leaves_empty_is_a_usage_error(argv, name):
+    # argparse drops a second "--" from the operand that consumed it and
+    # hands the handler a list; a release that keeps it reads a file "--"
+    for json_flag in ([], ["--json"]):
+        code, out, err = invoke(argv[:1] + json_flag + argv[1:], TOWER_MAP)
+        assert code == 2 and "Traceback" not in err
+        usage = f"triaut {argv[0]}: error: argument {name}: expected one argument\n"
+        if err.endswith(usage):
+            assert err.startswith(f"usage: triaut {argv[0]} ")
+            diagnostics = [usage.partition("error: ")[2].rstrip("\n")]
+        else:
+            assert err.startswith("error: ") and "'--'" in err
+            diagnostics = [err[len("error: "):].rstrip("\n")]
+        if json_flag:
+            assert json.loads(out) == {"command": argv[0], "inputs": [], "result": None,
+                                       "diagnostics": diagnostics}
+        else:
+            assert out == ""
+
+
+def test_file_operands_read_the_same_with_any_line_ends(tmp_path):
+    # "\r\n" and "\r" read as "\n", also where an error shows its column
+    for body in (TOWER_MAP, "n=1\nx1 -> x1 + $\n"):
+        for end in ("\r\n", "\r"):
+            plain, other = tmp_path / "plain.aut", tmp_path / "other.aut"
+            plain.write_bytes(body.encode())
+            other.write_bytes(body.replace("\n", end).encode())
+            assert invoke(["invert", str(other)]) == invoke(["invert", str(plain)])
+    bad = tmp_path / "bad.aut"
+    bad.write_bytes(b"n=1\r\nx1 -> x1 \xff\r\n")
+    code, out, err = invoke(["invert", str(bad)])
+    assert (code, out) == (2, "")
+    assert err == "error: 'utf-8' codec can't decode byte 0xff in position 14: invalid start byte\n"
 
 
 def test_in_process_calls_are_independent(ddx1_file, phi_file, heis_file, flow_file):

@@ -143,6 +143,53 @@ def test_parse_polynomial_matches_sympy():
         assert parse_polynomial(str(p)) == p
 
 
+_BLANKS = ["", "", "", " ", "  ", "\t", "\n", " \n\t"]
+
+
+def _noncanonical_text(rng: Random, nvars: int, depth: int) -> str:
+    """A random text of the grammar, far from canonical: factors in any
+    order, repeated variables, /INT between factors, parentheses nested up
+    to `depth` and stray blanks (tabs and newlines too) between tokens."""
+    def blank():
+        return rng.choice(_BLANKS)
+
+    terms = []
+    for k in range(rng.randint(1, 4)):
+        text = ""
+        for j in range(rng.randint(1, 4)):
+            r = rng.random()
+            if r < 0.25:
+                factor = str(rng.randint(0, 30))
+            elif r < 0.8 or depth == 0:
+                factor = f"x{rng.randint(1, nvars)}"
+                if rng.random() < 0.5:
+                    factor += f"{blank()}^{blank()}{rng.randint(0, 4)}"
+            else:
+                factor = f"({blank()}{_noncanonical_text(rng, nvars, depth - 1)}{blank()})"
+            text += (f"{blank()}*{blank()}" if j else "") + factor
+            while rng.random() < 0.25:
+                text += f"{blank()}/{blank()}{rng.randint(1, 12)}"
+        if k:
+            text = f"{blank()}{rng.choice('+-')}{blank()}{text}"
+        elif rng.random() < 0.3:
+            text = f"-{blank()}{text}"
+        terms.append(text)
+    return "".join(terms)
+
+
+def test_parse_polynomial_reads_non_canonical_text_as_sympy_does():
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols("x1:5")
+    names = {str(g): g for g in gens}
+    rng = Random(618)
+    for _ in range(150):
+        text = _noncanonical_text(rng, len(gens), depth=2)
+        # inside parentheses Python's tokenizer, and so sympy's, joins lines
+        expected = sympy.parse_expr(f"({text.replace('^', '**')})", local_dict=names)
+        p = parse_polynomial(text)
+        assert sympy.expand(to_sympy(sympy, p, gens) - expected) == 0, text
+
+
 def test_whitespace_insensitive():
     assert parse_polynomial("x1+2*x2^2") == parse_polynomial(" x1 + 2 * x2 ^ 2 ")
 
@@ -177,7 +224,48 @@ EXPRESSION_ERRORS = [
     ("x1 * )", "line 1, col 6: expected a number, variable, or '(', found ')'"),
     ("x1^ ", "line 1, col 4: expected a non-negative integer exponent, found end of input"),
     ("x1/0", "line 1, col 4: division by zero"),
+    # '²'.isdigit() is True, but no token starts with it
+    ("x1²", "line 1, col 3: unexpected character '²'"),
+    ("x", "line 1, col 1: unexpected character 'x'"),
+    # of an unexpected character and a variable x0, the first in the text wins
+    ("x0 + $", "line 1, col 1: variable index must be at least 1"),
+    ("$ + x0", "line 1, col 1: unexpected character '$'"),
+    ("x1 + x00 $", "line 1, col 6: variable index must be at least 1"),
+    # a token shows as the value it spells
+    ("x1 x01", "line 1, col 4: expected end of expression, found 'x1'"),
+    ("x1 007", "line 1, col 4: expected end of expression, found '7'"),
+    ("x1 ٣", "line 1, col 4: expected end of expression, found '3'"),
+    ("1/(x1)", "line 1, col 3: expected an integer divisor, found '('"),
+    # a tab counts as one column, and a newline starts the next line
+    ("x1 +\t*", "line 1, col 6: expected a number, variable, or '(', found '*'"),
+    ("x1 *\n\t\n  2 x2", "line 3, col 5: expected end of expression, found 'x2'"),
+    ("(x1\n", "line 1, col 4: expected ')', found end of input"),
+    ("x1 /\t0", "line 1, col 6: division by zero"),
 ]
+
+
+def test_an_integer_past_the_int_str_digit_limit_shows_in_an_error():
+    digits = "7" * 5000
+    with pytest.raises(ParseError) as err:
+        parse_polynomial(f"x1 {digits}")
+    assert str(err.value) == f"line 1, col 4: expected end of expression, found '{digits}'"
+
+
+# Texts whose reading hangs on how digits, blanks and variables are split
+# into tokens: Unicode digits, leading zeros, tabs, newlines, long INTs.
+ACCEPTED = [
+    ("٣*x١", "3*x1", 1),  # Arabic-Indic digits are digits
+    ("x01^02 + 007", "7 + x1^2", 1),
+    ("x1\t+\n2*x2\n", "x1 + 2*x2", 2),
+    ("( x1 )*(x2)", "x1*x2", 2),
+    ("1" * 4400 + "/2", "1" * 4400 + "/2", 0),
+]
+
+
+@pytest.mark.parametrize("text, canonical, nvars", ACCEPTED)
+def test_texts_the_tokenizer_must_read_as_before(text, canonical, nvars):
+    p = parse_polynomial(text)
+    assert (str(p), p.nvars) == (canonical, nvars)
 
 
 @pytest.mark.parametrize("text, message", EXPRESSION_ERRORS)
@@ -308,6 +396,34 @@ def test_file_format_error_texts_are_pinned(parse, text, error, message):
     with pytest.raises(error) as err:
         parse(text)
     assert type(err.value) is error
+    assert str(err.value) == message
+
+
+# Blanks around a file line, Unicode ones and "\r" line ends included:
+# columns count from the raw line, and trailing blanks end no expression.
+LINE_BLANKS = [
+    ("n=1\nx1 -> x1 + \t \n",
+     "line 2, col 11: expected a number, variable, or '(', found end of input"),
+    ("n=1\n\t x1\t->\tx1 $\n", "line 2, col 12: unexpected character '$'"),
+    ("n=2\r\nx1 -> -x1\r\n x2 ->  x2 + \xa0( x1\u3000\r\n",
+     "line 3, col 19: expected ')', found end of input"),
+    ("n=1\r\rx1 -> x1 $", "line 3, col 10: unexpected character '$'"),
+    # a blank expression ends right after the arrow, whatever blanks follow
+    ("n=1\n x1 ->   \n",
+     "line 2, col 7: expected a number, variable, or '(', found end of input"),
+    ("n=2\ndx1 <- 0\ndx2 <-\t\xa0\n",
+     "line 3, col 7: expected a number, variable, or '(', found end of input"),
+    ("n=1\n\u2003x1 -> 2*x1\u2003\n", None),
+]
+
+
+@pytest.mark.parametrize("text, message", LINE_BLANKS)
+def test_blanks_around_a_file_line_keep_its_columns(text, message):
+    if message is None:
+        assert parse_automorphism(text).to_text() == "n=1\nx1 -> 2*x1\n"
+        return
+    with pytest.raises(ParseError) as err:
+        (parse_derivation if "\ndx" in text else parse_automorphism)(text)
     assert str(err.value) == message
 
 

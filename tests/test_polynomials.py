@@ -381,6 +381,21 @@ def test_coefficients_past_the_int_str_digit_limit_print_and_parse():
         assert sys.get_int_max_str_digits() == limit
 
 
+def test_printing_is_the_same_with_a_cold_warm_or_full_monomial_cache():
+    rng = Random(614)
+    cases = [random_polynomial(rng, 4, 4, density=0.3) for _ in range(30)]
+    cases += [wide_rational_polynomial(rng, 3, 3, density=0.5) for _ in range(10)]
+    # more distinct monomials than the cache holds, so it evicts while printing
+    cases.append(Polynomial({(i, i % 7): Fraction(i + 1, 3) for i in range(5000)}, 2))
+    cache = polynomials._monomial
+    assert cache.cache_info().maxsize == polynomials._MONOMIAL_CACHE
+    for p in cases:
+        cache.cache_clear()
+        cold = str(p)
+        assert cold == str(p) == reference_str(p)
+        assert cache.cache_info().currsize <= polynomials._MONOMIAL_CACHE
+
+
 def test_ring_axioms_on_random_triples():
     rng = Random(100)
     for _ in range(120):
