@@ -100,7 +100,13 @@ class TriangularAutomorphism:
         return all(lam == 1 for lam in self.lambdas)
 
     def is_identity(self) -> bool:
-        return self.is_unitriangular() and not any(self.tails)
+        for tail in self.tails:  # most maps that are not the identity fail here
+            if tail._num:
+                return False
+        for lam in self.lambdas:
+            if lam != 1:
+                return False
+        return True
 
     def fixes_prefix(self, s: int) -> bool:
         """True iff f_i = x_i for all i <= s."""
@@ -138,11 +144,11 @@ def _trusted(n: int, lambdas: Sequence[Scalar],
              tails: Sequence[Polynomial]) -> TriangularAutomorphism:
     """A map built from kernel output, without the `_triangular` check: the
     tails are triangular polynomials in ambient n by construction and the
-    lambdas nonzero.  The lambdas are normalised (Fraction(1, 2) * 2 is
-    the int 1)."""
+    lambdas nonzero.  A lambda that is not an int is normalised
+    (Fraction(1, 2) * 2 is the int 1)."""
     phi = object.__new__(TriangularAutomorphism)
     phi.n = n
-    phi.lambdas = tuple(as_scalar(lam) for lam in lambdas)
+    phi.lambdas = tuple([lam if type(lam) is int else as_scalar(lam) for lam in lambdas])
     phi.tails = tuple(tails)
     phi._nested = None
     return phi
@@ -312,7 +318,9 @@ def random_triangular(n: int, m: int, seed=None, density: float = 0.4,
 
     The lambdas are drawn first, then the tails as in `_random_tails`; all
     are uniform over `_COEFFICIENTS`.  n and m must be ints (not bool),
-    else TypeError.
+    else TypeError.  The map is built by `_trusted`, without the shape
+    check of `make`: the lambdas are nonzero ints and `_random_tails`
+    builds its tails triangular in ambient n.
     """
     _checked_int(n, "ambient dimension")
     _checked_int(m, "degree bound")
@@ -321,7 +329,7 @@ def random_triangular(n: int, m: int, seed=None, density: float = 0.4,
     if rng is None:
         rng = Random(seed)
     lambdas = [rng.choice(_COEFFICIENTS) for _ in range(n)]
-    return TriangularAutomorphism(n, lambdas, _random_tails(n, m, rng, density))
+    return _trusted(n, lambdas, _random_tails(n, m, rng, density))
 
 
 def _triangular(n: int, polys: Sequence, noun: str, label: str) -> tuple[Polynomial, ...]:
@@ -355,9 +363,10 @@ def _checked_dimension(n) -> None:
 _TAIL_LABEL = "tail of coordinate {}"
 
 
-def _shape_error(label: str, i: int, top: int) -> TriangularityError:
+def _shape_error(label: str, i: int, top: int | str) -> TriangularityError:
     """The error for entry i of a triangular tuple that mentions x_top, top
-    >= i; `label`, formatted with i, names the entry."""
+    >= i, given as an int or as its decimal digits; `label`, formatted with
+    i, names the entry."""
     allowed = f"only x1..x{i - 1} allowed" if i > 1 else "it must be a constant"
     return TriangularityError(f"{label.format(i)} mentions x{top}; {allowed}")
 

@@ -19,9 +19,13 @@ from .polynomials import (
     Polynomial,
     Scalar,
     _checked_int,
+    _guards,
     _merged,
     _normalised,
+    _partial,
+    _product,
     _weighted_degree,
+    _width,
     as_scalar,
 )
 
@@ -39,18 +43,13 @@ class TriangularDerivation:
         self.n = n
 
     def apply(self, p: Polynomial) -> Polynomial:
-        """D(p) = sum_i g_i * dp/dx_i, for i up to p's top variable only."""
+        """D(p) = sum_i g_i * dp/dx_i in ambient n, summed by `_add_applied`
+        into one numerator dict and normalised once."""
         top = p.max_variable()
         if top > self.n:
             raise ValueError(f"polynomial mentions x{top}, beyond n={self.n}")
-        p = p.promoted(self.n)
-        total = Polynomial.zero(self.n)
-        for i, g in enumerate(self.coeffs[:top], start=1):
-            if g:
-                dp = p.partial(i)
-                if dp:
-                    total = total + g * dp
-        return total
+        num, den = _add_applied({}, 1, self.coeffs, p, 1, _guards(self.n))
+        return _normalised(num, den, self.n)
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -98,17 +97,65 @@ def make_derivation(n: int, coeffs: Sequence) -> TriangularDerivation:
     return TriangularDerivation(n, coeffs)
 
 
+def _trusted_derivation(n: int, coeffs: Sequence[Polynomial]) -> TriangularDerivation:
+    """A derivation built from kernel output, without the `_triangular`
+    check, as `automorphisms._trusted` builds a map: the coefficients are
+    triangular polynomials in ambient n by construction."""
+    d = object.__new__(TriangularDerivation)
+    d.n = n
+    d.coeffs = tuple(coeffs)
+    return d
+
+
+def _add_applied(num: dict[int, int], den: int, coeffs: Sequence[Polynomial], p: Polynomial,
+                 sign: int, guards: int) -> tuple[dict[int, int], int]:
+    """num/den + sign * D(p) for the derivation D with coefficients
+    `coeffs`, as (numerators, denominator), not normalised; `num` is
+    updated in place or replaced.
+
+    Each g_i * dp/dx_i, for i up to p's top variable only, is one
+    `_product` of g_i's numerators by those of `_partial`, taken straight
+    off p's packed keys, added by `_merged` over the lcm of the
+    denominators.  A `guards` bit set by a product raises ValueError, as
+    in `_product`."""
+    pnum = p._num
+    if not pnum:
+        return num, den
+    pden = p._den
+    for i in range(_width(max(pnum))):
+        g = coeffs[i]
+        if not g._num:
+            continue
+        partial = _partial(pnum, i + 1)
+        if not partial:
+            continue
+        product = _product(g._num, partial, guards)
+        if num or sign != 1:
+            num, den = _merged(num, den, product, g._den * pden, sign, True)
+        else:  # the first term: the product is the sum so far
+            num, den = product, g._den * pden
+    return num, den
+
+
 def bracket(d1: TriangularDerivation, d2: TriangularDerivation) -> TriangularDerivation:
     """Lie bracket [D1, D2] = D1 D2 - D2 D1, itself triangular.
 
     Its k-th coefficient is D1(b_k) - D2(a_k) for a = d1's and b = d2's
-    coefficients; as a_k, b_k involve x_<k only, `apply` takes just the
-    partials by x_1..x_{k-1}.
+    coefficients, summed by `_add_applied` into one numerator dict and
+    normalised once; as a_k, b_k involve x_<k only, just the partials by
+    x_1..x_{k-1} are taken.  The result is built by `_trusted_derivation`,
+    as its coefficients are triangular by construction.
     """
     if d1.n != d2.n:
         raise ValueError(f"dimension mismatch: {d1.n} vs {d2.n}")
-    return TriangularDerivation(
-        d1.n, [d1.apply(g2) - d2.apply(g1) for g1, g2 in zip(d1.coeffs, d2.coeffs)])
+    n = d1.n
+    guards = _guards(n)
+    coeffs = []
+    for a, b in zip(d1.coeffs, d2.coeffs):
+        num, den = _add_applied({}, 1, d1.coeffs, b, 1, guards)
+        num, den = _add_applied(num, den, d2.coeffs, a, -1, guards)
+        coeffs.append(_normalised(num, den, n))
+    return _trusted_derivation(n, coeffs)
 
 
 def _weights(derivations: Sequence[TriangularDerivation], n: int) -> list[int]:
@@ -197,8 +244,10 @@ def random_triangular_derivation(n: int, max_degree: int, seed=None, density: fl
     """Random triangular derivation with coefficient degrees <= max_degree.
 
     The coefficients are sampled as the tails of
-    automorphisms.random_triangular, without the lambdas.  n and
-    max_degree must be ints (not bool), else TypeError.
+    automorphisms.random_triangular, without the lambdas, and the result
+    is built by `_trusted_derivation`: `_random_tails` builds them
+    triangular in ambient n.  n and max_degree must be ints (not bool),
+    else TypeError.
     """
     _checked_int(n, "ambient dimension")
     _checked_int(max_degree, "degree bound")
@@ -206,4 +255,4 @@ def random_triangular_derivation(n: int, max_degree: int, seed=None, density: fl
         raise ValueError("need n >= 1 and max_degree >= 0")
     if rng is None:
         rng = Random(seed)
-    return TriangularDerivation(n, _random_tails(n, max_degree, rng, density))
+    return _trusted_derivation(n, _random_tails(n, max_degree, rng, density))

@@ -10,8 +10,11 @@ Expression grammar (whitespace-insensitive):
 
 Division is scalar division by an integer literal only; exponents are
 non-negative integer literals below 2**EXPONENT_BITS, and so is every
-exponent of a term's product (else ValueError).  File formats are
-line-oriented:
+exponent of a term's product (else ValueError).  A variable index,
+an exponent, a line label or a header n of more digits than int()
+converts (the interpreter's 4,300 by default) is judged from its digit
+count, leading zeros of any script aside, so a token of any length gets
+the parser's own error.  File formats are line-oriented:
 
     automorphism:  "n=<int>" then lines "x<i> -> <poly>" for i = 1..n
     derivation:    "n=<int>" then lines "dx<i> <- <poly>" for i = 1..n
@@ -43,6 +46,8 @@ print -> parse -> print is a fixed point byte for byte.
 from __future__ import annotations
 
 import re
+import sys
+import unicodedata
 from decimal import Decimal
 from itertools import groupby, islice
 from typing import Iterable
@@ -55,7 +60,6 @@ from .polynomials import (
     Polynomial,
     _LIMIT,
     _SHIFT,
-    _digits,
     _merged,
     _normalised,
     _scalar,
@@ -83,6 +87,35 @@ def _integer(digits: str) -> int:
         return int(Decimal(digits))
 
 
+def _decimal_text(digits: str) -> str:
+    """str(int(digits)) for a digit token of any length, without int():
+    its digits in ASCII, leading zeros dropped."""
+    if not digits.isascii():
+        digits = "".join(str(unicodedata.decimal(ch)) for ch in digits)
+    return digits.lstrip("0") or "0"
+
+
+# What a variable index, exponent, line label or header n reads as when it
+# has more digits than int() converts: more than any n a file can hold
+# lines for, and too large for a packed key's shift.
+_HUGE = sys.maxsize
+
+
+def _natural(digits: str) -> int:
+    """The int a digit token spells where int() converts it, else _HUGE.
+    Past the interpreter's limit on str-to-int conversion, int() takes the
+    token again without its leading zeros (of any script), and refuses it
+    from its digit count alone if it is still too long."""
+    try:
+        return int(digits)
+    except ValueError:
+        pass
+    try:
+        return int(_decimal_text(digits))
+    except ValueError:
+        return _HUGE
+
+
 class _ExprParser:
     """Recursive descent over the tokens of `text`, which begins at file
     position `start` = (line, col).
@@ -100,9 +133,9 @@ class _ExprParser:
         stray = _STRAY_RE.search(text)
         end = stray.start() if stray else len(text)
         # every variable before the first stray character is a VAR token
-        indices = list(map(int, _VAR_RE.findall(text, 0, end)))
+        indices = list(map(_natural, _VAR_RE.findall(text, 0, end)))
         if 0 in indices:
-            zero = next(m for m in _VAR_RE.finditer(text) if not int(m[1]))
+            zero = next(m for m in _VAR_RE.finditer(text) if not _natural(m[1]))
             raise self._error("variable index must be at least 1", zero.start())
         if stray:
             raise self._error(f"unexpected character {stray[0]!r}", stray.start())
@@ -132,12 +165,18 @@ class _ExprParser:
         if tok == _END:
             shown = "end of input"
         elif tok[0] == "x":
-            shown = repr(f"x{int(tok[1:])}")
+            shown = repr(f"x{_decimal_text(tok[1:])}")
         elif tok.isdigit():
-            shown = repr(_digits(_integer(tok)))
+            shown = repr(_decimal_text(tok))
         else:
             shown = repr(tok)
         raise self._error(f"expected {expected}, found {shown}", self._offset(index))
+
+    def top(self) -> str:
+        """The digits of x_nvars's index, the largest in the text, without
+        leading zeros; for an index past int()'s digit limit too."""
+        return max(map(_decimal_text, _VAR_RE.findall(self.text)),
+                   key=lambda digits: (len(digits), digits))
 
     def parse(self) -> _Parsed:
         num, den = self.poly()
@@ -175,16 +214,17 @@ class _ExprParser:
             if tok.isdigit():
                 n *= _integer(tok)
             elif tok[:1] == "x":
-                index = int(tok[1:])
+                index = _natural(tok[1:])
                 shift = _SHIFT * (index - 1)
                 if tokens[pos] == "^":
                     exp = tokens[pos + 1]
                     if not exp.isdigit():
                         self._fail(pos + 1, "a non-negative integer exponent")
                     pos += 2
-                    e = _integer(exp)
+                    e = _natural(exp)
                     if e >= _LIMIT:
-                        raise ValueError(f"exponent {e} of x{index} is not below "
+                        raise ValueError(f"exponent {_decimal_text(exp)} of "
+                                         f"x{_decimal_text(tok[1:])} is not below "
                                          f"2**{EXPONENT_BITS}")
                     key += e << shift
                 else:
@@ -263,25 +303,25 @@ def _coordinate_file(lines: Iterable[tuple[int, str]],
     match = _HEADER_RE.match(first)
     if match is None:
         raise ParseError(f"expected header 'n=<int>', found {first!r}", num, 1)
-    n = int(match.group(1))
+    n = _natural(match[1])
     if n < 1:
         raise ParseError("dimension must be at least 1", num, 1)
     if len(lines) - 1 != n:
-        raise ParseError(f"expected {n} '{prefix}<i> {arrow} <polynomial>' lines "
-                         f"after the header, found {len(lines) - 1}")
+        raise ParseError(f"expected {_decimal_text(match[1])} '{prefix}<i> {arrow} "
+                         f"<polynomial>' lines after the header, found {len(lines) - 1}")
     exprs = []
     for i, (num, line) in enumerate(lines[1:], start=1):
         match = line_re.fullmatch(line)
         if match is None:
             raise ParseError(f"expected '{prefix}{i} {arrow} <polynomial>', "
                              f"found {line.strip()!r}", num, 1)
-        index = int(match[1])
-        if index != i:
+        if _natural(match[1]) != i:
             raise ParseError(f"{kind} lines must appear in order; expected "
-                             f"{prefix}{i}, found {prefix}{index}", num, 1)
+                             f"{prefix}{i}, found {prefix}{_decimal_text(match[1])}",
+                             num, 1)
         parser = _ExprParser(match[2], (num, match.start(2) + 1))
         if parser.nvars > n:
-            raise _shape_error(label, i, parser.nvars)
+            raise _shape_error(label, i, parser.top())
         exprs.append(parser.parse())
     return n, exprs
 

@@ -32,7 +32,10 @@ into x1-slices, the terms sharing one key with x1's field cleared, and a
 slice sum c * x1^e1 becomes the int sum c << (e1 << 6): one 64-bit slot
 per power of x1.  Slices are multiplied pairwise as ints, summed per key,
 and each sum is read back slot by slot.  Every term product goes through
-one of the two paths, chosen from the operands alone:
+one of three paths, chosen from the operands alone:
+- one comprehension {k + kb: c * cb} when an operand has the one term
+  cb * x^kb: its keys stay distinct and no numerator is zero, so nothing
+  is looked up or merged;
 - the schoolbook loop below _PACKED_PAIRS = 256 term pairs, and whenever
   the packed path does not suit;
 - the packed path when the term pairs are at least _PACKED_FILL = 12 per
@@ -43,26 +46,28 @@ one of the two paths, chosen from the operands alone:
 It is exact when max|a| * max|b| * min(len(a), len(b)) is below 2**62: a
 coefficient of the product sums at most min(len) term products, so every
 slot holds a coefficient of magnitude below 2**62 < 2**63, and the slots
-decode exactly; a larger bound takes the schoolbook loop.  Both
+decode exactly; a larger bound takes the schoolbook loop.  All three
 paths give the same dict of terms, not in the same order, and make the
 same guard-bit check.
 
 Substitution evaluates by the multivariate Horner scheme: the polynomial
 is split on its highest variable and acc = acc * image + coefficient is
 folded in from the top power down, each coefficient evaluated the same
-way, whatever the image.  Each step multiplies into one fresh numerator
-dict and adds the coefficient into that same dict, over a running common
-denominator.  Across a gap of g >= 5 missing powers, a one-term image
-costs one product by its g-th power, built by squaring.  One kernel,
-`_substitute_add`, returns p(images) + c * addend: the addend is added
-into the evaluated dict and the result normalised once, so `substitute`
-and the compose and invert of `triaut.automorphisms` (tail' =
-p'(coordinates) + lambda' * tail) build no intermediate polynomial.
+way, whatever the image; a constant coefficient, the most common kind,
+is used as it is, with no recursive call.  Each step multiplies into one
+fresh numerator dict and adds the coefficient into that same dict, over
+a running common denominator.  Across a gap of g >= 5 missing powers, a
+one-term image costs one product by its g-th power, built by squaring.
+One kernel, `_substitute_add`, returns p(images) + c * addend: the addend
+is added into the evaluated dict and the result normalised once, so
+`substitute` and the compose and invert of `triaut.automorphisms` (tail'
+= p'(coordinates) + lambda' * tail) build no intermediate polynomial.
 
 One function, `_merged`, adds one numerator dict into another over the
 lcm of their denominators: for `+` and `-`, the addend of
 `_substitute_add`, a map's coordinate lambda * x_i + tail, each term
-that `triaut.parsing` reads and every Horner step.
+that `triaut.parsing` reads, every Horner step, and each product
+g_i * dp/dx_i of `triaut.derivations`' apply and bracket.
 
 The form is normalised: the denominator is positive and shares no factor
 with all numerators together (it is 1 for integer polynomials, which
@@ -337,16 +342,23 @@ def _add_into(out: dict, terms: dict, scale: Scalar) -> None:
 
 def _product(ta: dict[int, int], tb: dict[int, int], guards: int) -> dict[int, int]:
     """ta * tb as a fresh numerator dict, never one of the operands: by
+    one comprehension when an operand has one term, else by
     `_packed_product` when it takes the operands, else by `_schoolbook`.
     Raises ValueError when an exponent reaches 2**EXPONENT_BITS, i.e. when
     a bit of `guards` is set."""
     if len(ta) < len(tb):
         ta, tb = tb, ta
-    out = None
-    if len(ta) * len(tb) >= _PACKED_PAIRS:
-        out = _packed_product(ta, tb)
-    if out is None:
-        out = _schoolbook(ta, tb)
+    if len(tb) == 1:
+        # one shift and one scale per term: the keys stay distinct and no
+        # product of nonzero ints is zero
+        [(kb, cb)] = tb.items()
+        out = {k + kb: c * cb for k, c in ta.items()}
+    else:
+        out = None
+        if len(ta) * len(tb) >= _PACKED_PAIRS:
+            out = _packed_product(ta, tb)
+        if out is None:
+            out = _schoolbook(ta, tb)
     if reduce(or_, out, 0) & guards:
         raise ValueError(f"product has an exponent not below 2**{EXPONENT_BITS}")
     return out
@@ -455,8 +467,9 @@ def _horner(num: dict[int, int], images: list["Polynomial"],
 
     Multivariate Horner scheme (Peña & Sauer, "On the multivariate Horner
     scheme", SIAM J. Numer. Anal. 37, 2000): split `num` on its highest
-    variable x_v as sum_e c_e * x_v^e, evaluate each c_e recursively, and
-    fold them in as acc = acc * images[v-1] + c_e from the top power down.
+    variable x_v as sum_e c_e * x_v^e, evaluate each c_e recursively (a
+    constant c_e is its own value, taken without a call), and fold them in
+    as acc = acc * images[v-1] + c_e from the top power down.
     Each step adds c_e by `_merged` into the fresh dict of `_product`,
     which checks its guard bits, over the lcm of the two denominators.  A
     gap of g missing powers costs g products, except at a one-term image y
@@ -480,7 +493,10 @@ def _horner(num: dict[int, int], images: list["Polynomial"],
             part[key & low] = c
     y = images[top - 1]
     e = max(parts)
-    acc, den = _horner(parts[e], images, guards)
+    acc = parts[e]
+    den = 1
+    if len(acc) > 1 or 0 not in acc:
+        acc, den = _horner(acc, images, guards)
     while e:
         e -= 1
         den *= y._den
@@ -498,8 +514,10 @@ def _horner(num: dict[int, int], images: list["Polynomial"],
                 e = nxt + 1
             acc = _product(acc, step, guards)
             continue
-        pnum, pden = _horner(part, images, guards)
-        acc, den = _merged(_product(acc, y._num, guards), den, pnum, pden, 1, True)
+        pden = 1
+        if len(part) > 1 or 0 not in part:  # a constant part is added as is
+            part, pden = _horner(part, images, guards)
+        acc, den = _merged(_product(acc, y._num, guards), den, part, pden, 1, True)
     return acc, den
 
 
@@ -526,6 +544,15 @@ def _substitute_add(p: "Polynomial", images: Sequence["Polynomial"], nvars: int,
         # a constant p: _horner handed back p's own dict
         num, den = _merged(num, den, addend._num, addend._den * cq, cp, num is not p._num)
     return _normalised(num, den, nvars)
+
+
+def _partial(num: dict[int, int], index: int) -> dict[int, int]:
+    """The numerators of d/dx_index over the same denominator, as a fresh
+    dict, not normalised: behind `Polynomial.partial` and the apply and
+    bracket of `triaut.derivations`."""
+    shift = _SHIFT * (index - 1)
+    unit = 1 << shift
+    return {key - unit: e * c for key, c in num.items() if (e := key >> shift & _MASK)}
 
 
 def _binary_power(base, k: int, mul: Callable, result):
@@ -794,14 +821,7 @@ class Polynomial:
     def partial(self, index: int) -> "Polynomial":
         """Formal partial derivative with respect to x_index (1-based)."""
         _checked_index(index, 1, self.nvars, "variable index")
-        shift = _SHIFT * (index - 1)
-        unit = 1 << shift
-        out: dict[int, int] = {}
-        for key, c in self._num.items():
-            e = (key >> shift) & _MASK
-            if e:
-                out[key - unit] = e * c
-        return _normalised(out, self._den, self.nvars)
+        return _normalised(_partial(self._num, index), self._den, self.nvars)
 
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """Replace x_i by images[i-1] and expand to canonical form.

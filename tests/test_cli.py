@@ -254,6 +254,25 @@ def test_exponent_beyond_the_limit_is_exit_two(tmp_path, tail):
     assert "2**16" in err
 
 
+def test_an_index_past_the_int_str_digit_limit_is_the_shape_error(tmp_path):
+    # decided from the digit count: int() would refuse 5,000 digits
+    index = "1" * 5000
+    bad = tmp_path / "wide.aut"
+    bad.write_text(f"n=1\nx1 -> x1 + x{index}\n")
+    code, out, err = invoke(["invert", str(bad)])
+    assert (code, out) == (2, "")
+    assert err == f"error: tail of coordinate 1 mentions x{index}; it must be a constant\n"
+
+
+def test_an_exponent_past_the_int_str_digit_limit_is_the_exponent_error(tmp_path):
+    exponent = "1" * 5000
+    bad = tmp_path / "tall.aut"
+    bad.write_text(f"n=2\nx1 -> x1\nx2 -> x2 + x1^{exponent}\n")
+    code, out, err = invoke(["invert", str(bad)])
+    assert (code, out) == (2, "")
+    assert err == f"error: exponent {exponent} of x1 is not below 2**16\n"
+
+
 def test_degenerate_counterexample_is_exit_two():
     code, _, err = invoke(["counterexample", "1", "1"])
     assert code == 2

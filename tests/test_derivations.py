@@ -4,7 +4,7 @@ from random import Random
 import pytest
 
 from triaut import derivations
-from triaut.automorphisms import compose, identity, invert
+from triaut.automorphisms import compose, identity, invert, make, random_triangular
 from triaut.derivations import (
     bracket,
     exponential,
@@ -153,16 +153,44 @@ def test_nilpotency_index_is_exact():
 
 
 def test_apply_differentiates_only_up_to_the_top_variable(monkeypatch):
-    # dp/dx_i is 0 above p's top variable, so those partials are not taken
+    # dp/dx_i is 0 above p's top variable, so neither that partial nor the
+    # product g_i * dp/dx_i is taken
     seen = []
-    partial = Polynomial.partial
-    monkeypatch.setattr(Polynomial, "partial", lambda p, i: seen.append(i) or partial(p, i))
+    calls = []
+    partial = derivations._partial
+    product = derivations._product
+
+    def counted(*args):
+        calls.append(args)
+        return product(*args)
+
+    monkeypatch.setattr(derivations, "_partial", lambda num, i: seen.append(i) or partial(num, i))
+    monkeypatch.setattr(derivations, "_product", counted)
     x = [Polynomial.variable(i, 3) for i in (1, 2, 3)]
     d = make_derivation(3, [1, x[0], x[1]])
     assert d.apply(x[0] ** 2) == 2 * x[0]
     assert seen == [1]
+    assert [ta for ta, _, _ in calls] == [d.coeffs[0]._num]
     assert d.apply(x[1] * x[0]) == x[1] + x[0] ** 2
     assert seen == [1, 1, 2]
+    assert [ta for ta, _, _ in calls] == [d.coeffs[0]._num, d.coeffs[0]._num, d.coeffs[1]._num]
+
+
+def test_trusted_outputs_pass_the_validating_constructors():
+    # random_triangular, random_triangular_derivation and bracket skip the
+    # shape check; what they build must be what the check accepts
+    rng = Random(24)
+    for n in range(1, 6):
+        for m in range(1, 4):
+            phi = random_triangular(n, m, rng=rng)
+            assert make(n, phi.lambdas, phi.tails) == phi
+            assert all(type(lam) is int for lam in phi.lambdas)
+            d1, d2 = (random_triangular_derivation(n, m, rng=rng) for _ in range(2))
+            for d in (d1, d2, bracket(d1, d2)):
+                assert make_derivation(n, d.coeffs) == d
+                assert type(d.coeffs) is tuple
+                assert all(g.nvars == n for g in d.coeffs)
+            assert all(h.nvars == n for h in phi.tails)
 
 
 def test_the_weighted_cap_is_enforced(monkeypatch):

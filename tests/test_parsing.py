@@ -433,6 +433,52 @@ def test_tail_beyond_the_ambient_is_reported_as_non_triangular():
     assert str(err.value) == "tail of coordinate 2 mentions x3; only x1..x1 allowed"
 
 
+# Digit tokens of a file read as int() reads them, Unicode digits and
+# leading zeros included, also past int()'s 4,300-digit limit: a line
+# label, an exponent, a variable index and the header n.
+FILE_DIGITS = [
+    ("n=1\nx١ -> x1\n", "n=1\nx1 -> x1\n"),
+    ("n=2\nx1 -> x1\nx2 -> x2 + x1^٠٠٠٠٠٢\n",
+     "n=2\nx1 -> x1\nx2 -> x2 + x1^2\n"),
+    ("n=2\nx1 -> x1\nx2 -> x2 + x1^" + "0" * 5000 + "2\n",
+     "n=2\nx1 -> x1\nx2 -> x2 + x1^2\n"),
+    ("n=1\nx1 -> x1 + x" + "0" * 5000 + "1\n", "n=1\nx1 -> 2*x1\n"),
+    ("n=1\nx1 -> x1 + x" + "٠" * 5000 + "١\n", "n=1\nx1 -> 2*x1\n"),
+    ("n=" + "0" * 5000 + "1\nx" + "0" * 5000 + "1 -> x1\n", "n=1\nx1 -> x1\n"),
+]
+
+
+@pytest.mark.parametrize("text, canonical", FILE_DIGITS)
+def test_file_digit_tokens_read_as_int_reads_them(text, canonical):
+    assert parse_automorphism(text).to_text() == canonical
+
+
+# A digit token too large for its place gets the parser's own error, which
+# shows the token's value in ASCII digits, however long the token is.
+TOO_LARGE = [
+    ("n=2\nx1 -> x1\nx2 -> x2 + x١^٧٠٠٠٠\n", ValueError,
+     "exponent 70000 of x1 is not below 2**16"),
+    ("n=2\nx1 -> x1\nx2 -> x2 + x1^0" + "9" * 5000 + "\n", ValueError,
+     f"exponent {'9' * 5000} of x1 is not below 2**16"),
+    ("n=1\nx1 -> x1 + x٣\n", TriangularityError,
+     "tail of coordinate 1 mentions x3; it must be a constant"),
+    ("n=1\nx1 -> x1 + x" + "1" * 5000 + " + x" + "0" * 5000 + "9" * 4999 + "\n",
+     TriangularityError, f"tail of coordinate 1 mentions x{'1' * 5000}; it must be a constant"),
+    ("n=1\nx" + "1" * 5000 + " -> x1\n", ParseError,
+     f"line 2, col 1: coordinate lines must appear in order; expected x1, found x{'1' * 5000}"),
+    ("n=" + "1" * 5000 + "\nx1 -> x1\n", ParseError,
+     f"expected {'1' * 5000} 'x<i> -> <polynomial>' lines after the header, found 1"),
+]
+
+
+@pytest.mark.parametrize("text, error, message", TOO_LARGE)
+def test_a_digit_token_too_large_for_its_place_gets_the_parser_error(text, error, message):
+    with pytest.raises(error) as err:
+        parse_automorphism(text)
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("parse, text, message", [
     (parse_automorphism, "n=2\nx1 -> x1\nx2 -> x2 + x3000000\n",
      "tail of coordinate 2 mentions x3000000; only x1..x1 allowed"),

@@ -763,6 +763,7 @@ def test_product_never_hands_back_an_operand(monkeypatch):
     dense = _dense_in_x1(Random(5), 4, 20, 9)
     assert polynomials._packed_product(dense, dense) is not None
     for ta, tb in ((dense, dense), (dense, {0: 1}), ({0: 1}, dense), ({0: 1}, {0: 1}),
+                   (dense, {1: -3}), ({1 << 17: 2}, dense), ({5: 2}, {1 << 17: -1}),
                    ({}, dense), (dense, {}), ({}, {})):
         for pairs in (_PACKED_PAIRS, 10 ** 18):
             monkeypatch.setattr(polynomials, "_PACKED_PAIRS", pairs)
@@ -805,6 +806,38 @@ def test_packed_product_overflow_raises_as_the_schoolbook_loop_does(monkeypatch)
     assert packed == schoolbook == f"product has an exponent not below 2**{EXPONENT_BITS}"
     packed, schoolbook = _both_paths(monkeypatch, spread, {0: 1, 1 << 17: 2})
     assert packed == schoolbook and packed[top] == 1
+
+
+def test_a_one_term_product_overflows_as_the_schoolbook_loop_does():
+    # a one-term operand takes neither loop, yet makes the same guard-bit
+    # check: one more term on it sends the same product to the schoolbook loop
+    top = 2 ** EXPONENT_BITS - 1
+    guards = polynomials._guards(3)
+    wide = {top: 1, (top << 17) + 1: 2}  # x1^65535 + 2*x1*x2^65535
+    for ta, tb in ((wide, {1: 3}), ({1 << 17: -1}, wide), ({top: 5}, {1: 1})):
+        texts = []
+        for b in (tb, {**tb, 1 << 34: 1}):
+            with pytest.raises(ValueError) as raised:
+                polynomials._product(ta, b, guards)
+            texts.append(str(raised.value))
+        assert texts[0] == texts[1] == f"product has an exponent not below 2**{EXPONENT_BITS}"
+    below = {top - 1: 1, (top - 1) << 17: -2}
+    assert polynomials._product(below, {1 + (1 << 17): 7}, guards) == \
+        polynomials._schoolbook(below, {1 + (1 << 17): 7})
+
+
+def test_a_constant_horner_part_that_cancels_leaves_no_zero_entry():
+    # the constant coefficient is added as is, and here it cancels the
+    # constant term of acc * image
+    u1, u2 = Polynomial.variable(1, 2), Polynomial.variable(2, 2)
+    cases = ((u2 ** 2 - 1, [u1, u1 + 1]),
+             (u2 / 2 - Fraction(1, 2), [u1, u1 + 1]),
+             (3 * u2 - 1, [u1, (u1 ** 2 + 1) / 3]),
+             (u2 ** 3 - 8, [u1, u1 + 2]))
+    for p, images in cases:
+        result = p.substitute(images)
+        assert 0 not in result._num and all(result._num.values())
+        assert result == reference_substitute(p, images)
 
 
 def test_sparse_or_fragmented_operands_take_the_schoolbook_loop():
