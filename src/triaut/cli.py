@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 a checked mathematical property was falsified,
 2 input or usage error.  A handler's error leaves through one exit: a
 `PropertyViolation` gives 1 and "property violation: ...", a ValueError
-(`ParseError` and `TriangularityError` among them) or OSError gives 2
-and "error: ...".  With --json, output is a single object with the
+(`ParseError` and `TriangularityError` among them), OSError or
+RecursionError (an input nested or long past the interpreter's
+recursion limit) gives 2 and "error: ...".  With --json, output is a single object with the
 fixed key set {command, inputs, result, diagnostics} on both success and
 failure, usage errors included.
 
@@ -12,13 +13,16 @@ failure, usage errors included.
 its output, argparse's usage, help and error text included, goes to the
 given streams, and a `-` operand is read from the given stdin.  The parser
 is built once per process, on the first call that needs it, and reused
-by every later one.  A valid call is parsed from the `_COMMANDS` table
+by every later one.  `_COMMANDS` is the one declaration of each
+command's operands and flags.  A valid call is parsed from that table
 alone (`_table_parse`), into the namespace argparse would give; on
 anything the table cannot show argparse would read the same way (help,
-an unknown or abbreviated option, a bad value or operand count, and the
-few `--` and option placements argparse reads apart) it declines and
-the argparse parser parses argv, so argparse stays the one source of
-help, usage and error texts.  An operand that argparse hands over as an
+an unknown or abbreviated option, a bad value or operand count, an
+operand or flag value that starts with `-` before `--`, such as a
+negative number, and the few `--` and option placements argparse reads
+apart) it declines and the argparse parser parses argv, so argparse
+stays the one source of help, usage and error texts and of its rule for
+negative numbers.  An operand that argparse hands over as an
 empty list (it drops a second `--` from the operand that consumed it)
 is a usage error of the subcommand, as argparse would word it.  Every
 `-` operand of a call reads the same text: stdin is read once, when the
@@ -112,9 +116,9 @@ def _closure(args) -> tuple[dict, str]:
 
 class _Command(NamedTuple):
     """One subcommand.  `positionals` are (name, argparse options) pairs;
-    the fields after `handler` declare the shared flags (a default for
-    trials/word_len, a switch for seed).  `handler(args)` returns an
-    automorphism, a derivation, a harness report, or a ready
+    `flags` maps the dest of each shared flag the command takes to its
+    default, in the order the JSON `inputs` echo them.  `handler(args)`
+    returns an automorphism, a derivation, a harness report, or a ready
     (json result, human text) pair; `args.stdin()` is the text every `-`
     operand of the call reads, taken from the stream once.  Handlers call
     library functions by module-global name at call time, so rebinding a
@@ -124,9 +128,7 @@ class _Command(NamedTuple):
     help: str
     positionals: tuple
     handler: Callable
-    seed: bool = False
-    trials: int | None = None
-    word_len: int | None = None
+    flags: dict = {}
     epilog: str | None = None
 
 
@@ -136,16 +138,6 @@ _FLAGS = {
     "--trials": ("trials", "number of sampled trials (default {})"),
     "--word-len": ("word_len", "maximum word length (default {})"),
 }
-
-
-def _flag_defaults(command: _Command) -> dict[str, int]:
-    """dest -> default of the shared flags the command declares."""
-    defaults = {"seed": 0} if command.seed else {}
-    if command.trials is not None:
-        defaults["trials"] = command.trials
-    if command.word_len is not None:
-        defaults["word_len"] = command.word_len
-    return defaults
 
 
 _INT = {"type": int}
@@ -186,21 +178,21 @@ _COMMANDS = {
     "fuzz-degree": _Command(
         "random products of T(m) never leave T(m^(n-1))", (("n", _INT), ("m", _INT)),
         lambda a: harness.degree_fuzz(a.n, a.m, a.word_len, a.trials, seed=a.seed),
-        seed=True, trials=1000, word_len=8),
+        flags={"word_len": 8, "trials": 1000, "seed": 0}),
     "derived-depth": _Command(
         "iterated commutators fix a growing prefix", (("n", _INT), ("depth", _INT)),
         lambda a: harness.derived_depth_test(a.n, a.depth, a.trials, seed=a.seed),
-        seed=True, trials=50),
+        flags={"trials": 50, "seed": 0}),
     "unipotent-test": _Command(
         "products of exponentials stay unitriangular", (("derivations", {"nargs": "+"}),),
         lambda a: harness.unipotent_generation_test(
             _derivation_files(a, a.derivations), a.word_len, a.trials, seed=a.seed),
-        seed=True, trials=200, word_len=6),
+        flags={"word_len": 6, "trials": 200, "seed": 0}),
     "counterexample": _Command(
         "order-two pair whose generated group is not algebraic",
         (("a", _RATIONAL), ("b", _RATIONAL)),
         lambda a: harness.nonconnected_counterexample(a.a, a.b, a.word_len),
-        word_len=12,
+        flags={"word_len": 12},
         epilog="write flags first and '--' before negative parameters: "
                "triaut counterexample --word-len 8 -- -1/2 1/3"),
 }
@@ -246,17 +238,11 @@ def _parser() -> _Parser:
         for arg, options in command.positionals:
             p.add_argument(arg, **options)
         p.add_argument("--json", action="store_true", help="emit a JSON report")
-        defaults = _flag_defaults(command)
         for flag, (dest, text) in _FLAGS.items():
-            if dest in defaults:
-                p.add_argument(flag, type=int, default=defaults[dest],
-                               help=text.format(defaults[dest]))
+            if dest in command.flags:
+                default = command.flags[dest]
+                p.add_argument(flag, type=int, default=default, help=text.format(default))
     return parser
-
-
-# argparse's form of a negative number, which it reads as an operand (no
-# option here looks like one)
-_NEGATIVE = re.compile(r"-\d+|-\d*\.\d+")
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
@@ -269,14 +255,16 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 def _table_parse(argv: list[str]) -> argparse.Namespace | None:
     """The namespace argparse gives for argv, read from `_COMMANDS` alone,
     or None wherever argparse might read argv otherwise: no command,
-    -h, an unknown, abbreviated or `--flag=value` option, a flag without
-    a value or with an option-like one, a value its type refuses, a
-    wrong operand count, a second `--` or one no operand absorbs, and
-    operands of a `nargs="+"` positional split by an option."""
+    -h, an unknown, abbreviated or `--flag=value` option, any other
+    token or flag value that starts with `-` before `--` (a negative
+    number among them), a flag without a value, a value its type
+    refuses, a wrong operand count, a second `--` or one no operand
+    absorbs, and operands of a `nargs="+"` positional split by an
+    option."""
     command = _COMMANDS.get(argv[0]) if argv else None
     if command is None:
         return None
-    options = {"json": False, **_flag_defaults(command)}
+    options = {"json": False, **command.flags}
     operands: list[str] = []
     runs = 0  # runs of operands between options
     after_operand = dashes = loose = False
@@ -287,7 +275,7 @@ def _table_parse(argv: list[str]) -> argparse.Namespace | None:
                 return None
             # argparse drops a "--" next to an operand; any other is left over
             dashes, loose = True, not after_operand
-        elif dashes or token[:1] != "-" or token == "-" or _NEGATIVE.fullmatch(token):
+        elif dashes or token[:1] != "-" or token == "-":
             runs += not after_operand
             operands.append(token)
             after_operand, loose = True, False
@@ -297,8 +285,7 @@ def _table_parse(argv: list[str]) -> argparse.Namespace | None:
         else:
             dest = _FLAGS[token][0] if token in _FLAGS else None
             value = next(tokens, None)
-            if (dest not in options or value is None
-                    or value[:1] == "-" and not _NEGATIVE.fullmatch(value)):
+            if dest not in options or value is None or value[:1] == "-":
                 return None
             try:
                 options[dest] = int(value)
@@ -326,7 +313,7 @@ def _table_parse(argv: list[str]) -> argparse.Namespace | None:
 
 def _inputs(command: _Command, args) -> list[dict]:
     """The echoed inputs: positionals in order (one entry per path of a
-    multi-file argument, rationals as text), then word_len, trials, seed."""
+    multi-file argument, rationals as text), then the command's flags."""
     inputs = []
     for name, _ in command.positionals:
         value = getattr(args, name)
@@ -334,10 +321,7 @@ def _inputs(command: _Command, args) -> list[dict]:
             # a rational's text is the constant polynomial's: no digit limit
             inputs.append({"name": name, "value": str(Polynomial.constant(v))
                            if isinstance(v, Fraction) else v})
-    for name in ("word_len", "trials", "seed"):
-        if getattr(command, name):
-            inputs.append({"name": name, "value": getattr(args, name)})
-    return inputs
+    return inputs + [{"name": name, "value": getattr(args, name)} for name in command.flags]
 
 
 def _render(result) -> tuple[object, str]:
@@ -415,7 +399,7 @@ def run(argv=None, stdout=None, stderr=None, stdin=None) -> int:
     args.stdin = cache(lambda: stdin.read())
     try:
         result, human = _render(command.handler(args))
-    except (PropertyViolation, ValueError, OSError) as exc:
+    except (PropertyViolation, ValueError, OSError, RecursionError) as exc:
         violated = isinstance(exc, PropertyViolation)
         if wants_json:
             _emit_json(args.command, [], None, [str(exc)], stdout)

@@ -4,7 +4,8 @@ Exit-code mapping in the CLI, through its one handler-error exit:
 PropertyViolation (and subclasses) means a mathematical invariant was
 falsified and maps to exit code 1; input-side errors map to exit 2.
 These are ValueError, which ParseError and TriangularityError subclass,
-and OSError.
+OSError, and RecursionError, raised on an input nested or long past the
+interpreter's recursion limit (such as deeply nested parentheses).
 """
 
 

@@ -7,7 +7,9 @@ the underlying theorem, so the harness treats it as a hard failure
 rather than a statistic.
 
 All sampling is driven by a single seeded generator per call: the same
-seed reproduces the same report byte for byte.
+seed reproduces the same report byte for byte.  Every count and seed a
+routine takes must be an int (not bool), else TypeError, before its
+range is checked (ValueError).
 """
 
 from __future__ import annotations
@@ -28,13 +30,19 @@ from .automorphisms import (
 )
 from .derivations import _coordinate_iterates, _exponential
 from .errors import PropertyViolation
-from .polynomials import Polynomial, Scalar, as_scalar
+from .polynomials import Polynomial, Scalar, _checked_int, as_scalar
 
 _FUZZ_DENSITY = 0.25      # degree_fuzz's pool maps
 _DEPTH_DEGREE = 2         # derived_depth_test's commutator leaves
 _DEPTH_DENSITY = 0.4
 _POOL_SIZE = 3
 _POOL_REFRESH = 25
+
+
+def _check_ints(**counts) -> None:
+    """TypeError for the first count or seed that is not an int (not bool)."""
+    for name, value in counts.items():
+        _checked_int(value, name)
 
 
 def _letter_names(letters, labels) -> tuple[str, ...]:
@@ -70,6 +78,7 @@ def degree_fuzz(n: int, m: int, max_word_len: int, trials: int, seed: int) -> Fu
     the bound.  Any sampled word whose evaluation exceeds the bound raises
     PropertyViolation with the word and its generators attached.
     """
+    _check_ints(n=n, m=m, max_word_len=max_word_len, trials=trials, seed=seed)
     if n < 1 or m < 1 or max_word_len < 1 or trials < 1:
         raise ValueError("fuzz parameters must be positive")
     bound = m ** (n - 1)
@@ -146,6 +155,7 @@ def derived_depth_test(n: int, depth: int, trials: int, seed: int) -> DepthRepor
     identity.  Each trial draws 2^depth fresh random triangular maps of
     degree <= 2 for the commutator tree.
     """
+    _check_ints(n=n, depth=depth, trials=trials, seed=seed)
     if depth < 1 or depth > n + 1:
         raise ValueError(f"depth must lie in 1..{n + 1}")
     if trials < 1:
@@ -201,6 +211,7 @@ _EXP_SCALARS = (1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2),
 def unipotent_generation_test(derivations, max_word_len: int, trials: int,
                               seed: int) -> UnipotentReport:
     """Products of exponentials exp(s_j D_{i_j}) are always unitriangular."""
+    _check_ints(max_word_len=max_word_len, trials=trials, seed=seed)
     derivations = list(derivations)
     if not derivations:
         raise ValueError("need at least one derivation")
@@ -275,6 +286,7 @@ def nonconnected_counterexample(a, b, max_word_len: int) -> CounterexampleReport
     one-parameter shear group in an infinite proper subgroup, which is
     what blocks it from being algebraic.
     """
+    _checked_int(max_word_len, "max_word_len")
     a = as_scalar(a)
     b = as_scalar(b)
     if a == b:

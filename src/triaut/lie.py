@@ -180,10 +180,8 @@ def _coordinate_bracket(u: Coordinates, v: Coordinates,
         for j, b in v.items():
             c = constants.get((i, j))
             if c:
-                ab = a * b
-                for k, value in c.items():
-                    out[k] = out.get(k, 0) + ab * value
-    return {k: value for k, value in out.items() if value}
+                _add_into(out, c, a * b)
+    return out
 
 
 def _series(basis: LieBasis, left_full: bool) -> list[int]:

@@ -326,7 +326,8 @@ def _merged(num: dict[int, int], den: int, terms: dict[int, int], tden: int,
 def _add_into(out: dict, terms: dict, scale: Scalar) -> None:
     """out += scale * terms, in place; a term that cancels is dropped.  The
     one accumulate loop: behind `_merged` on int numerators, and behind
-    the row reduction of `triaut.lie` on int and Fraction entries."""
+    the row reduction and `_coordinate_bracket` of `triaut.lie` on int
+    and Fraction entries."""
     get = out.get
     for key, c in terms.items():
         prev = get(key)

@@ -1,8 +1,12 @@
 import io
 import json
+import os
+import re
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -231,6 +235,44 @@ def test_counterexample_command():
     assert "[-3, -2, -1, 0, 1, 2, 3]" in out
 
 
+def _nested_file(tmp_path, depth):
+    path = tmp_path / "nested.aut"
+    path.write_text("n=1\nx1 -> x1 + " + "(" * depth + "1" + ")" * depth + "\n")
+    return str(path)
+
+
+def test_nesting_past_the_recursion_limit_is_exit_two(tmp_path):
+    # an input error, not a falsified property: exit 2, also under --json
+    path = _nested_file(tmp_path, 600)
+    code, out, err = invoke(["invert", path])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: maximum recursion depth exceeded")
+    code, out, json_err = invoke(["invert", "--json", path])
+    assert (code, json_err) == (2, err)
+    assert json.loads(out) == {"command": "invert", "inputs": [], "result": None,
+                               "diagnostics": [err[len("error: "):].rstrip("\n")]}
+
+
+def _python_m_triaut(argv, stdin_text=""):
+    """`python -m triaut argv` in a fresh interpreter: main() -> sys.exit(run())."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "triaut", *argv], input=stdin_text,
+                          capture_output=True, text=True, env=env, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_the_process_entry_point_reads_stdin_and_sets_the_exit_code(tmp_path):
+    code, out, err = _python_m_triaut(["invert", "-"], "n=2\nx1 -> x1\nx2 -> x2 + x1^2\n")
+    assert (code, out, err) == (0, "n=2\nx1 -> x1\nx2 -> x2 - x1^2\n", "")
+    code, out, err = _python_m_triaut(["compose"])
+    assert (code, out, err) == (2, "", COMPOSE_USAGE)
+    code, out, err = _python_m_triaut(["invert", _nested_file(tmp_path, 600)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: maximum recursion depth exceeded") and "Traceback" not in err
+
+
 def test_missing_file_is_exit_two():
     code, _, err = invoke(["invert", "/nonexistent/file.aut"])
     assert code == 2
@@ -397,13 +439,33 @@ def test_usage_error_text_goes_to_the_given_stderr(capsys):
     assert capsys.readouterr() == ("", "")
 
 
+# The help line of each shared flag, per command that takes one: --seed,
+# --trials and --word-len in that order, each with its default.
+FLAG_HELP = {
+    "fuzz-degree": [("--seed", "RNG seed (default 0)"),
+                    ("--trials", "number of sampled trials (default 1000)"),
+                    ("--word-len", "maximum word length (default 8)")],
+    "derived-depth": [("--seed", "RNG seed (default 0)"),
+                      ("--trials", "number of sampled trials (default 50)")],
+    "unipotent-test": [("--seed", "RNG seed (default 0)"),
+                       ("--trials", "number of sampled trials (default 200)"),
+                       ("--word-len", "maximum word length (default 6)")],
+    "counterexample": [("--word-len", "maximum word length (default 12)")],
+}
+
+
 def test_help_text_goes_to_the_given_stdout(capsys):
     code, out, err = invoke(["--help"])
     assert code == 0 and err == ""
     assert out.startswith("usage: triaut [-h]")
     assert all(name in out for name in ("compose", "derived-depth", "counterexample"))
-    code, out, _ = invoke(["fuzz-degree", "--help"])
-    assert code == 0 and "number of sampled trials (default 1000)" in out
+    for name in cli._COMMANDS:
+        code, out, err = invoke([name, "--help"])
+        assert code == 0 and err == ""
+        # every long option's help line, in order: --json, then the shared
+        # flags the command declares and no other
+        lines = re.findall(r"^  (--[a-z-]+)(?: [A-Z_]+)?  +(.*)$", out, re.MULTILINE)
+        assert lines == [("--json", "emit a JSON report")] + FLAG_HELP.get(name, [])
     assert capsys.readouterr() == ("", "")
 
 
@@ -577,6 +639,14 @@ CLI_MIX_ARGV = [
     ["unipotent-test", "a.der", "--json", "--trials", "5", "--word-len", "3", "--seed", "17"],
     ["counterexample", "--json", "--word-len", "9", "--", "-1/2", "1/3"],
 ]
+
+
+def test_a_value_starting_with_a_dash_before_dashes_is_left_to_argparse():
+    # argparse reads these as negative numbers; the table leaves that rule
+    # to it (the PARITY_ARGV rows pin that the call still parses the same)
+    for argv in (["power", "a.aut", "-3"], ["exp", "flow.der", "-.5"],
+                 ["fuzz-degree", "--seed", "-1", "2", "3"]):
+        assert cli._table_parse(argv) is None
 
 
 def test_a_valid_call_is_parsed_by_its_subcommand_parser_alone(monkeypatch):

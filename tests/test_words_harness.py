@@ -121,6 +121,31 @@ def test_degree_fuzz_rejects_bad_parameters():
         degree_fuzz(2, 2, 8, 0, seed=0)
 
 
+def _one_derivation():
+    return [make_derivation(2, [1, 0])]
+
+
+@pytest.mark.parametrize("routine, args, kwargs, name", [
+    (degree_fuzz, (3, 2, True, 2, 0), {}, "max_word_len"),
+    (degree_fuzz, (3.0, 2, 2, 2, 0), {}, "n"),
+    (degree_fuzz, (3, "2", 2, 2, 0), {}, "m"),
+    (degree_fuzz, (3, 2, 2, 2.0, 0), {}, "trials"),
+    (degree_fuzz, (3, 2, 2, 2), {"seed": 1.5}, "seed"),
+    (degree_fuzz, (3, 2, 2, 2), {"seed": "x"}, "seed"),
+    (derived_depth_test, (2, True, 2, 0), {}, "depth"),
+    (derived_depth_test, (True, 1, 2, 0), {}, "n"),
+    (derived_depth_test, (2, 1, 2), {"seed": None}, "seed"),
+    (unipotent_generation_test, (_one_derivation(), True, True), {"seed": 0}, "max_word_len"),
+    (unipotent_generation_test, (_one_derivation(), 2, 2.5), {"seed": 0}, "trials"),
+    (unipotent_generation_test, (_one_derivation(), 2, 2), {"seed": "x"}, "seed"),
+    (nonconnected_counterexample, (1, 0, 2.0), {}, "max_word_len"),
+], ids=lambda value: value.__name__ if callable(value) else None)
+def test_harness_counts_and_seeds_must_be_ints(routine, args, kwargs, name):
+    # a bool, float, str or None is refused before any range check or sampling
+    with pytest.raises(TypeError, match=rf"^{name} must be an int, not "):
+        routine(*args, **kwargs)
+
+
 # -- derived depth --------------------------------------------------------------
 
 def longest_fixed_prefix(w):
